@@ -122,7 +122,7 @@ def _explain_table(program) -> str:
         return "no optimizer passes ran (--opt-level 0)"
     header = (f"{'stage':<6} {'pass':<18} {'rewrites':>8} "
               f"{'ops':>12} {'key-switches':>14} {'levels':>10} "
-              f"{'bootstraps':>12}")
+              f"{'bootstraps':>12} {'visited':>8} {'seconds':>8}")
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
@@ -131,7 +131,8 @@ def _explain_table(program) -> str:
             f"{row['key_switches_before']:>6} -> {row['key_switches_after']:<5} "
             f"{row['level_span_before']:>4} -> {row['level_span_after']:<3} "
             f"{row.get('bootstraps_before', 0):>5} -> "
-            f"{row.get('bootstraps_after', 0):<4}"
+            f"{row.get('bootstraps_after', 0):<4} "
+            f"{row.get('visited', 0):>8} {row.get('seconds', 0.0):>8.3f}"
         )
     levels = program.stats.get("levels", {})
     if levels.get("enabled"):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -118,25 +120,27 @@ class Function:
         return replaced
 
     def dce(self) -> int:
-        """Remove ops whose results are unused; returns ops removed."""
-        removed_total = 0
-        while True:
-            used: set[int] = {v.id for v in self.returns}
-            for op in self.body:
-                for operand in op.operands:
-                    used.add(operand.id)
-            keep = []
-            removed = 0
-            for op in self.body:
-                has_effect = op.attrs.get("has_side_effects", False)
-                if has_effect or any(r.id in used for r in op.results):
-                    keep.append(op)
-                else:
-                    removed += 1
+        """Remove ops whose results are unused; returns ops removed.
+
+        One reverse sweep: the body is topologically ordered, so by the
+        time an op is reached every consumer has already been judged."""
+        live: set[int] = {v.id for v in self.returns}
+        keep = []
+        for op in reversed(self.body):
+            for result in op.results:
+                if result.id in live:
+                    break
+            else:
+                if not op.attrs.get("has_side_effects", False):
+                    continue
+            keep.append(op)
+            for operand in op.operands:
+                live.add(operand.id)
+        removed = len(self.body) - len(keep)
+        if removed:
+            keep.reverse()
             self.body = keep
-            removed_total += removed
-            if removed == 0:
-                return removed_total
+        return removed
 
 
 @dataclass
@@ -177,6 +181,24 @@ class Module:
             counter[hint] = index + 1
         self.constants[name] = np.asarray(array)
         return name
+
+    def constant_digest(self, name: str) -> bytes:
+        """Content digest of constant ``name``, hashed once per stored array.
+
+        Stored payloads are immutable (clones share them), so an entry
+        — name -> (weakref to the array hashed, digest), kept in ``meta``
+        so clones and adopted candidates carry it along — is valid for as
+        long as ``name`` is bound to that array; rebinding or deleting
+        the name drops it.
+        """
+        arr = self.constants[name]
+        digests = self.meta.setdefault("_const_digests", {})
+        memo = digests.get(name)
+        if memo is None or memo[0]() is not arr:
+            digest = hashlib.blake2b(
+                np.ascontiguousarray(arr).data, digest_size=16).digest()
+            memo = digests[name] = (weakref.ref(arr), digest)
+        return memo[1]
 
     def constant_bytes(self) -> int:
         return sum(a.nbytes for a in self.constants.values())

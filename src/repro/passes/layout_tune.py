@@ -14,7 +14,9 @@ single hand-chosen packing across a model zoo.  This pass turns
   real ``NnToVectorLowering`` + vector optimizer and prices the post-opt
   VECTOR IR with the calibrated :class:`CostModel` — rotation batches
   per source are priced *hoisted* (the PR-8 lesson: per-rotation pricing
-  over-taxes BSGS plans by nearly a full decomposition per step) — then
+  over-taxes BSGS plans by nearly a full decomposition per step; the
+  runtime does not share that decomposition yet — see ROADMAP, "Hoisted
+  rotations in the compiled path") — then
   scales by the wavefront-schedule parallel factor at the effective job
   count, so a plan that narrows the schedule pays for it;
 * :func:`search_plan` runs greedy coordinate descent over the layers

@@ -38,9 +38,14 @@ appended to ``context["opt_stats"]`` and surface as
 from __future__ import annotations
 
 import math
+import time
+from functools import partial
+
+import numpy as np
 
 from repro.evalharness.costmodel import CostModel
 from repro.ir.core import Function, Module, Op, Value
+from repro.ir.rewrite import Rewrite, RewriteTally, UseIndex, apply_patterns
 from repro.ir.types import Cipher3Type, CipherType, PlainType
 from repro.passes.common import (
     cse_function as _plain_cse,
@@ -135,10 +140,13 @@ class OpCostTable:
         """Modeled seconds for the whole function, hoisting-aware.
 
         Rotations sharing one source ciphertext are costed as a batch at
-        a single shared digit decomposition (the runtime's hoisted
-        path), matching what actually executes — per-rotation pricing
+        a single shared digit decomposition — per-rotation pricing
         over-penalised BSGS regions and skewed every cost gate that
-        compares rotation-heavy candidates.
+        compares rotation-heavy candidates.  This is a pricing
+        convention, not what executes today: no compiled program
+        reaches ``ExactBackend.rotate_hoisted``, so every ``ckks.rotate``
+        still pays its own decomposition (ROADMAP, "Hoisted rotations in
+        the compiled path").
         """
         total = 0.0
         rotation_batches: dict[int, list[Op]] = {}
@@ -168,61 +176,49 @@ def key_switch_count(module: Module) -> int:
     return total
 
 
-def level_span(module: Module) -> int:
-    """Levels spanned by the scale-management plan (0 when unannotated)."""
-    levels = [
-        v.meta["level"]
-        for fn in module.functions.values()
-        for v in fn.values()
-        if v.meta and "level" in v.meta
-    ]
-    if not levels:
-        return 0
-    return max(levels) - min(levels) + 1
-
-
 def bootstrap_count(module: Module) -> int:
     """Refresh ops in the module — the replanner's headline number."""
     return sum(fn.op_count("ckks.bootstrap")
                for fn in module.functions.values())
 
 
-def post_refresh_span(module: Module) -> int:
-    """Levels spanned below the highest refresh target.
-
-    ``level_span`` alone is dishonest about bootstrap wins: it measures
-    max-minus-min over *all* value levels, so a program entering at the
-    chain top reports the same span whether its refreshes re-raise to
-    the top or to a replanned minimal target.  When refreshes exist,
-    measure from the highest ``target_level`` down to the lowest level
-    reached — the depth the plan actually consumes after a refresh.
-    """
-    targets = [
-        op.attrs["target_level"]
-        for fn in module.functions.values()
-        for op in fn.body
-        if op.opcode == "ckks.bootstrap"
-        and op.attrs.get("target_level") is not None
-    ]
-    if not targets:
-        return level_span(module)
-    levels = [
-        v.meta["level"]
-        for fn in module.functions.values()
-        for v in fn.values()
-        if v.meta and "level" in v.meta
-    ]
-    low = min(levels) if levels else 0
-    return max(max(targets) - low + 1, 0)
-
-
 def _snapshot(module: Module) -> dict:
+    """The stats-row counters, from one scan of the module.
+
+    ``level_span`` is the levels spanned by the scale-management plan (0
+    when unannotated).  It alone is dishonest about bootstrap wins: it
+    measures max-minus-min over *all* value levels, so a program
+    entering at the chain top reports the same span whether its
+    refreshes re-raise to the top or to a replanned minimal target.
+    ``post_refresh_span`` therefore measures, when refreshes exist, from
+    the highest ``target_level`` down to the lowest level reached — the
+    depth the plan actually consumes after a refresh.
+    """
+    ops = key_switches = bootstraps = 0
+    levels: list[int] = []
+    targets: list[int] = []
+    for fn in module.functions.values():
+        ops += len(fn.body)
+        values = list(fn.params)
+        for op in fn.body:
+            values += op.results
+            if op.opcode in KEY_SWITCH_OPCODES:
+                key_switches += 1
+            elif op.opcode == "ckks.bootstrap":
+                bootstraps += 1
+                if op.attrs.get("target_level") is not None:
+                    targets.append(op.attrs["target_level"])
+        levels += [v.meta["level"] for v in values
+                   if v.meta and "level" in v.meta]
+    low = min(levels, default=0)
+    span = max(levels) - low + 1 if levels else 0
     return {
-        "ops": sum(fn.op_count() for fn in module.functions.values()),
-        "key_switches": key_switch_count(module),
-        "level_span": level_span(module),
-        "bootstraps": bootstrap_count(module),
-        "post_refresh_span": post_refresh_span(module),
+        "ops": ops,
+        "key_switches": key_switches,
+        "level_span": span,
+        "bootstraps": bootstraps,
+        "post_refresh_span": (max(max(targets) - low + 1, 0) if targets
+                              else span),
     }
 
 
@@ -241,9 +237,10 @@ def dedup_constant_payloads(module: Module) -> int:
     canonical: dict[tuple, str] = {}
     rename: dict[str, str] = {}
     for name, arr in module.constants.items():
-        key = (arr.dtype.str, arr.shape, arr.tobytes())
+        key = (arr.dtype.str, arr.shape, module.constant_digest(name))
         keep = canonical.setdefault(key, name)
-        if keep != name:
+        # a digest hit is only a candidate: merge on equal content alone
+        if keep != name and np.array_equal(arr, module.constants[keep]):
             rename[name] = keep
     if not rename:
         return 0
@@ -299,111 +296,85 @@ def cse_function(fn: Function) -> int:
     return removed
 
 
-def fold_zero_rotations(fn: Function) -> int:
+def _fresh(type_, name: str, meta: dict) -> Value:
+    value = Value(type_, name=name)
+    value.meta = dict(meta)
+    return value
+
+
+def _match_zero_rotation(table, op: Op, index: UseIndex):
+    if op.attrs.get("steps", 0) != 0:
+        return None
+    return Rewrite([], op.operands[0], [op])
+
+
+def fold_zero_rotations(fn: Function,
+                        tally: RewriteTally | None = None) -> int:
     """Forward ``rotate(x, 0)`` to its operand (a rotation by zero steps
     is the identity on both backends — no key switch, no noise)."""
-    folded = 0
-    keep = []
-    for op in fn.body:
-        if (op.opcode in _ROTATE_OPCODES
-                and op.attrs.get("steps", 0) == 0):
-            fn.replace_uses(op.result, op.operands[0])
-            folded += 1
-            continue
-        keep.append(op)
-    fn.body = keep
-    return folded
+    return _apply("rotate-fold", fn, None, tally)
 
 
-def compose_modswitches(fn: Function) -> int:
+def _match_modswitch_pair(table, op: Op, index: UseIndex):
+    inner = op.operands[0].producer
+    if (inner is None or inner.opcode != "ckks.modswitch"
+            or index.count(inner.result) != 1):
+        return None
+    attrs = dict(op.attrs)
+    attrs["levels"] = op.attrs.get("levels", 1) + inner.attrs.get("levels", 1)
+    result = _fresh(op.result.type, f"{op.result.name}_ms", op.result.meta)
+    return Rewrite([Op("ckks.modswitch", [inner.operands[0]], [result],
+                       attrs)], result, [op, inner])
+
+
+def compose_modswitches(fn: Function,
+                        tally: RewriteTally | None = None) -> int:
     """``modswitch(modswitch(x, a), b) -> modswitch(x, a+b)`` when the
     inner modswitch has no other consumer.  Dropping limbs is exact, so
     the composition is bit-identical on every backend."""
-    merged = 0
-    changed = True
-    while changed:
-        changed = False
-        counts = fn.use_counts()
-        for idx, op in enumerate(fn.body):
-            if op.opcode != "ckks.modswitch":
-                continue
-            inner = op.operands[0].producer
-            if inner is None or inner.opcode != "ckks.modswitch":
-                continue
-            if counts.get(inner.result.id, 0) != 1:
-                continue
-            total = (op.attrs.get("levels", 1)
-                     + inner.attrs.get("levels", 1))
-            result = Value(op.result.type, name=f"{op.result.name}_ms")
-            result.meta = dict(op.result.meta)
-            attrs = dict(op.attrs)
-            attrs["levels"] = total
-            fn.body[idx] = Op("ckks.modswitch", [inner.operands[0]],
-                              [result], attrs)
-            fn.replace_uses(op.result, result)
-            merged += 1
-            changed = True
-            break
-        if changed:
-            fn.dce()
-    return merged
+    return _apply("modswitch-compose", fn, None, tally)
 
 
 # ---------------------------------------------------------------------------
 # level-2 rewrites (equivalent up to noise path)
 # ---------------------------------------------------------------------------
 
-def compose_rotations(fn: Function, table: OpCostTable) -> int:
+def _match_rotation_pair(table: OpCostTable, op: Op, index: UseIndex):
+    inner = op.operands[0].producer
+    if (inner is None or inner.opcode != op.opcode
+            or index.count(inner.result) != 1):
+        return None
+    if table.op_cost(inner) <= 0:
+        return None  # cost table says the inner rotate is free
+    total = op.attrs.get("steps", 0) + inner.attrs.get("steps", 0)
+    if total == 0:
+        return Rewrite([], inner.operands[0], [op, inner])
+    attrs = dict(op.attrs)
+    attrs["steps"] = total
+    result = _fresh(op.result.type, f"{op.result.name}_rot", op.result.meta)
+    return Rewrite([Op(op.opcode, [inner.operands[0]], [result], attrs)],
+                   result, [op, inner])
+
+
+def compose_rotations(fn: Function, table: OpCostTable,
+                      tally: RewriteTally | None = None) -> int:
     """``rotate(rotate(x, a), b) -> rotate(x, a+b)`` for single-use inner
     rotations — one key switch instead of two.  The composed step's
     rotation key is provided by the post-opt rotation-step recompute
     (keys are stored by Galois element, so any integer step resolves).
     A chain composing to zero forwards the original operand."""
-    merged = 0
-    changed = True
-    while changed:
-        changed = False
-        counts = fn.use_counts()
-        for idx, op in enumerate(fn.body):
-            if op.opcode not in _ROTATE_OPCODES:
-                continue
-            inner = op.operands[0].producer
-            if inner is None or inner.opcode != op.opcode:
-                continue
-            if counts.get(inner.result.id, 0) != 1:
-                continue
-            if table.op_cost(inner) <= 0:
-                continue  # cost table says the inner rotate is free
-            total = op.attrs.get("steps", 0) + inner.attrs.get("steps", 0)
-            if total == 0:
-                fn.replace_uses(op.result, inner.operands[0])
-                del fn.body[idx]
-            else:
-                result = Value(op.result.type,
-                               name=f"{op.result.name}_rot")
-                result.meta = dict(op.result.meta)
-                attrs = dict(op.attrs)
-                attrs["steps"] = total
-                fn.body[idx] = Op(op.opcode, [inner.operands[0]],
-                                  [result], attrs)
-                fn.replace_uses(op.result, result)
-            merged += 1
-            changed = True
-            break
-        if changed:
-            fn.dce()
-    return merged
+    return _apply("rotate-compose", fn, table, tally)
 
 
-def _single_use_relin(value: Value, counts: dict[int, int]) -> Op | None:
+def _single_use_relin(value: Value, index: UseIndex) -> Op | None:
     producer = value.producer
     if (producer is not None and producer.opcode == "ckks.relin"
-            and counts.get(value.id, 0) == 1):
+            and index.count(value) == 1):
         return producer
     return None
 
 
-def _is_defer_candidate(value: Value, counts: dict[int, int]) -> bool:
+def _is_defer_candidate(value: Value, index: UseIndex) -> bool:
     """Will lazy relin eventually turn ``value`` into a relin result?"""
     producer = value.producer
     if producer is None:
@@ -411,45 +382,118 @@ def _is_defer_candidate(value: Value, counts: dict[int, int]) -> bool:
     if producer.opcode == "ckks.relin":
         return True
     if producer.opcode in ("ckks.rescale", "ckks.modswitch"):
-        return _single_use_relin(producer.operands[0], counts) is not None
+        return _single_use_relin(producer.operands[0], index) is not None
     return (producer.opcode == "ckks.mul"
             and isinstance(producer.operands[1].type, PlainType)
-            and _single_use_relin(producer.operands[0], counts) is not None)
+            and _single_use_relin(producer.operands[0], index) is not None)
 
 
-def _defer_pays(uses_map: dict, op: Op, counts: dict[int, int],
-                table: OpCostTable) -> bool:
+def _defer_pays(index: UseIndex, op: Op, table: OpCostTable) -> bool:
     """Sinking a relin below a plain-multiply costs one extra ciphertext
     part; it pays only when a downstream add can then merge two relins
     into one key switch.  Checks both the enabling structure and the
     cost table's relin-vs-extra-part comparison.
 
-    ``uses_map`` is the caller's ``fn.uses()`` snapshot — rebuilding it
-    here per candidate is quadratic in the function size and dominated
-    ResNet-scale compiles."""
+    The look-ahead reads the consumers of ``op`` from the pass's
+    :class:`~repro.ir.rewrite.UseIndex`, which is built once per pass and
+    updated in place by each rewrite — no ``fn.uses()`` rebuild."""
     limbs = table.limbs_of(op.results[0])
     if table.key_switch_cost(limbs) <= table.extra_part_cost(limbs):
         return False
-    for consumer in uses_map.get(op.result, []):
+    for consumer in index.users(op.result):
         if consumer.opcode not in ("ckks.add", "ckks.sub"):
             continue
         other = (consumer.operands[1] if consumer.operands[0] is op.result
                  else consumer.operands[0])
-        if _is_defer_candidate(other, counts):
+        if _is_defer_candidate(other, index):
             return True
     return False
 
 
-def _fresh(type_, name: str, meta: dict) -> Value:
-    value = Value(type_, name=name)
-    value.meta = dict(meta)
-    return value
+def _relin_of(op: Op, operand: Value, name: str, meta: dict) -> tuple:
+    """``(red, relin_op)``: a relin of ``operand`` tagged with ``op``'s
+    region, its result typed as a two-part ciphertext."""
+    red = _fresh(CipherType(operand.type.slots), name, meta)
+    return red, Op("ckks.relin", [operand], [red],
+                   {"region": op.attrs.get("region")})
 
 
-def lazy_relinearize(fn: Function, table: OpCostTable) -> int:
+def _match_lazy_relin(table: OpCostTable, op: Op, index: UseIndex):
+    """Patterns R, B, A and C of :func:`lazy_relinearize`, rooted at the
+    consuming rescale/modswitch, plain multiply or add/sub."""
+    meta = op.result.meta
+    name = op.result.name
+    if op.opcode in ("ckks.rescale", "ckks.modswitch"):
+        # pattern R
+        relin = _single_use_relin(op.operands[0], index)
+        if relin is None:
+            return None
+        limbs = table.limbs_of(op.operands[0])
+        gain = (table.key_switch_cost(limbs)
+                - table.key_switch_cost(max(limbs - 1, 1)))
+        if op.opcode == "ckks.rescale":
+            gain -= table.model.op_seconds("rescale", limbs) * 0.5
+        if gain <= 0:
+            return None
+        u = relin.operands[0]
+        inner3 = _fresh(Cipher3Type(u.type.slots), f"{name}_d3", meta)
+        red, relin_op = _relin_of(op, inner3, f"{name}_lr", meta)
+        return Rewrite([Op(op.opcode, [u], [inner3], dict(op.attrs)),
+                        relin_op], red, [op, relin])
+    if op.opcode == "ckks.mul":
+        # pattern B
+        if not isinstance(op.operands[1].type, PlainType):
+            return None
+        relin = _single_use_relin(op.operands[0], index)
+        if relin is None or not _defer_pays(index, op, table):
+            return None
+        u = relin.operands[0]
+        mul3 = _fresh(Cipher3Type(u.type.slots), f"{name}_m3", meta)
+        red, relin_op = _relin_of(op, mul3, f"{name}_lr", meta)
+        return Rewrite([Op("ckks.mul", [u, op.operands[1]], [mul3],
+                           dict(op.attrs)), relin_op], red, [op, relin])
+    a, b = op.operands
+    ra = _single_use_relin(a, index)
+    rb = _single_use_relin(b, index)
+    if ra is not None and rb is not None:
+        # pattern A
+        u, v = ra.operands[0], rb.operands[0]
+        grouped = _fresh(Cipher3Type(u.type.slots), f"{name}_g3", meta)
+        red, relin_op = _relin_of(op, grouped, f"{name}_lr", meta)
+        return Rewrite([Op(op.opcode, [u, v], [grouped], dict(op.attrs)),
+                        relin_op], red, [op, ra, rb])
+    if op.opcode != "ckks.add" or (ra is None) == (rb is None):
+        return None
+    # pattern C: reassociate through a single-use inner add
+    relin = ra if ra is not None else rb
+    other = b if ra is not None else a
+    inner = other.producer
+    if (inner is None or inner.opcode != "ckks.add"
+            or index.count(other) != 1):
+        return None
+    inner_relins = [(i, _single_use_relin(operand, index))
+                    for i, operand in enumerate(inner.operands)]
+    inner_relins = [(i, r) for i, r in inner_relins
+                    if r is not None and r is not relin]
+    if len(inner_relins) != 1:
+        return None
+    i, inner_relin = inner_relins[0]
+    x = inner.operands[1 - i]
+    u, v = inner_relin.operands[0], relin.operands[0]
+    grouped = _fresh(Cipher3Type(u.type.slots), f"{name}_g3", meta)
+    red, relin_op = _relin_of(op, grouped, f"{name}_lr", meta)
+    out = _fresh(op.result.type, f"{name}_ra", meta)
+    return Rewrite([Op("ckks.add", [u, v], [grouped], dict(op.attrs)),
+                    relin_op,
+                    Op("ckks.add", [x, red], [out], dict(op.attrs))],
+                   out, [op, relin, inner, inner_relin])
+
+
+def lazy_relinearize(fn: Function, table: OpCostTable,
+                     tally: RewriteTally | None = None) -> int:
     """Defer relinearisations past additions and plaintext multiplies.
 
-    Three peepholes, run to fixpoint (each fires only when the consumed
+    Four peepholes, run to fixpoint (each fires only when the consumed
     relins have no other users, so nothing is recomputed):
 
     * **A** ``add/sub(relin(u), relin(v)) -> relin(add/sub(u, v))`` —
@@ -470,130 +514,7 @@ def lazy_relinearize(fn: Function, table: OpCostTable) -> int:
     the new relins; :func:`relinearize_for_legality` enforces that
     invariant for everything else.
     """
-    rewrites = 0
-    budget = 4 * len(fn.body) + 64
-    while budget > 0:
-        budget -= 1
-        counts = fn.use_counts()
-        uses_map = None  # built on first demand, fresh per iteration
-        fired = False
-        for idx, op in enumerate(fn.body):
-            new_ops = None
-            dead_ops = None
-            if op.opcode in ("ckks.rescale", "ckks.modswitch"):
-                # pattern R
-                relin = _single_use_relin(op.operands[0], counts)
-                if relin is None:
-                    continue
-                limbs = table.limbs_of(op.operands[0])
-                gain = (table.key_switch_cost(limbs)
-                        - table.key_switch_cost(max(limbs - 1, 1)))
-                if op.opcode == "ckks.rescale":
-                    gain -= table.model.op_seconds(
-                        "rescale", limbs) * 0.5
-                if gain <= 0:
-                    continue
-                u = relin.operands[0]
-                meta = op.result.meta
-                inner3 = _fresh(Cipher3Type(u.type.slots),
-                                f"{op.result.name}_d3", meta)
-                red = _fresh(op.result.type, f"{op.result.name}_lr", meta)
-                new_ops = [
-                    Op(op.opcode, [u], [inner3], dict(op.attrs)),
-                    Op("ckks.relin", [inner3], [red],
-                       {"region": op.attrs.get("region")}),
-                ]
-                dead_ops = [op, relin]
-            elif (op.opcode == "ckks.mul"
-                    and isinstance(op.operands[1].type, PlainType)):
-                relin = _single_use_relin(op.operands[0], counts)
-                if relin is None:
-                    continue
-                if uses_map is None:
-                    uses_map = fn.uses()
-                if not _defer_pays(uses_map, op, counts, table):
-                    continue
-                u = relin.operands[0]
-                meta = op.result.meta
-                mul3 = _fresh(Cipher3Type(u.type.slots),
-                              f"{op.result.name}_m3", meta)
-                red = _fresh(op.result.type, f"{op.result.name}_lr", meta)
-                new_ops = [
-                    Op("ckks.mul", [u, op.operands[1]], [mul3],
-                       dict(op.attrs)),
-                    Op("ckks.relin", [mul3], [red],
-                       {"region": op.attrs.get("region")}),
-                ]
-                dead_ops = [op, relin]
-            elif op.opcode in ("ckks.add", "ckks.sub"):
-                a, b = op.operands
-                ra = _single_use_relin(a, counts)
-                rb = _single_use_relin(b, counts)
-                meta = op.result.meta
-                if ra is not None and rb is not None:
-                    # pattern A
-                    u, v = ra.operands[0], rb.operands[0]
-                    grouped = _fresh(Cipher3Type(u.type.slots),
-                                     f"{op.result.name}_g3", meta)
-                    red = _fresh(op.result.type,
-                                 f"{op.result.name}_lr", meta)
-                    new_ops = [
-                        Op(op.opcode, [u, v], [grouped], dict(op.attrs)),
-                        Op("ckks.relin", [grouped], [red],
-                           {"region": op.attrs.get("region")}),
-                    ]
-                    dead_ops = [op, ra, rb]
-                elif op.opcode == "ckks.add" and (ra is None) != (rb is None):
-                    # pattern C: reassociate through a single-use inner add
-                    relin = ra if ra is not None else rb
-                    other = b if ra is not None else a
-                    inner = other.producer
-                    if (inner is None or inner.opcode != "ckks.add"
-                            or counts.get(other.id, 0) != 1):
-                        continue
-                    inner_relins = [
-                        (i, _single_use_relin(operand, counts))
-                        for i, operand in enumerate(inner.operands)
-                    ]
-                    inner_relins = [(i, r) for i, r in inner_relins
-                                    if r is not None and r is not relin]
-                    if len(inner_relins) != 1:
-                        continue
-                    i, inner_relin = inner_relins[0]
-                    x = inner.operands[1 - i]
-                    u = inner_relin.operands[0]
-                    v = relin.operands[0]
-                    grouped = _fresh(Cipher3Type(u.type.slots),
-                                     f"{op.result.name}_g3", meta)
-                    red = _fresh(CipherType(u.type.slots),
-                                 f"{op.result.name}_lr", meta)
-                    out = _fresh(op.result.type,
-                                 f"{op.result.name}_ra", meta)
-                    new_ops = [
-                        Op("ckks.add", [u, v], [grouped], dict(op.attrs)),
-                        Op("ckks.relin", [grouped], [red],
-                           {"region": op.attrs.get("region")}),
-                        Op("ckks.add", [x, red], [out], dict(op.attrs)),
-                    ]
-                    dead_ops = [op, relin, inner, inner_relin]
-            if new_ops is None:
-                continue
-            fn.body[idx:idx] = new_ops
-            fn.replace_uses(op.result, new_ops[-1].results[0])
-            # Every pattern consumes ops it proved single-use against
-            # this iteration's counts, so the dead set is known exactly
-            # — erase it directly instead of a full dce() fixpoint per
-            # rewrite, which was quadratic on ResNet-scale functions.
-            dead_ids = {id(d) for d in dead_ops}
-            fn.body = [o for o in fn.body if id(o) not in dead_ids]
-            rewrites += 1
-            fired = True
-            break
-        if not fired:
-            break
-    if rewrites:
-        fn.dce()
-    return rewrites
+    return _apply("lazy-relin", fn, table, tally)
 
 
 def relinearize_for_legality(fn: Function) -> int:
@@ -655,10 +576,11 @@ def relinearize_for_legality(fn: Function) -> int:
     # retype sweep: fixing an operand can narrow downstream result types
     # (Cipher3 -> Cipher), which can in turn make a later relin a no-op
     keep = []
+    index = UseIndex(fn)
     for op in fn.body:
         if (op.opcode == "ckks.relin"
                 and isinstance(op.operands[0].type, CipherType)):
-            fn.replace_uses(op.result, op.operands[0])
+            index.replace_all_uses(op.result, op.operands[0])
             continue
         inferred = OPS.get(op.opcode).infer(
             [o.type for o in op.operands], op.attrs)
@@ -670,7 +592,38 @@ def relinearize_for_legality(fn: Function) -> int:
     return inserted
 
 
-def sink_rescales(fn: Function, table: OpCostTable) -> int:
+def _match_rescale_pair(table: OpCostTable, op: Op, index: UseIndex):
+    producers = [operand.producer for operand in op.operands]
+    if any(p is None or p.opcode != "ckks.rescale" for p in producers):
+        return None
+    if any(index.count(operand) != 1 for operand in op.operands):
+        return None
+    u, v = (p.operands[0] for p in producers)
+    if not u.meta or not v.meta:
+        return None
+    if u.meta.get("level") != v.meta.get("level"):
+        return None
+    su, sv = u.meta.get("scale"), v.meta.get("scale")
+    if su is None or sv is None or not math.isclose(
+            su, sv, rel_tol=_SCALE_RTOL):
+        return None
+    limbs = table.limbs_of(u)
+    add_delta = (table.model.op_seconds("add", limbs)
+                 - table.model.op_seconds("add", max(limbs - 1, 1)))
+    if table.model.op_seconds("rescale", limbs) <= add_delta:
+        return None  # saved rescale would not pay for the wider add
+    if type(u.type) is not type(v.type):
+        return None
+    merged = _fresh(u.type, f"{op.result.name}_pre", u.meta)
+    out = _fresh(op.result.type, f"{op.result.name}_rs", op.result.meta)
+    return Rewrite([Op(op.opcode, [u, v], [merged], dict(op.attrs)),
+                    Op("ckks.rescale", [merged], [out],
+                       {"region": op.attrs.get("region")})],
+                   out, [op, *producers])
+
+
+def sink_rescales(fn: Function, table: OpCostTable,
+                  tally: RewriteTally | None = None) -> int:
     """``add/sub(rescale(u), rescale(v)) -> rescale(add/sub(u, v))``.
 
     Hoists the additions above the rescale so an add-tree of freshly
@@ -678,54 +631,26 @@ def sink_rescales(fn: Function, table: OpCostTable) -> int:
     only when both rescales are single-use and the pre-rescale operands
     agree on (scale, level) — checked from the scale-management meta, so
     the pattern skips hand-built IR without a plan."""
-    rewrites = 0
-    budget = 4 * len(fn.body) + 64
-    while budget > 0:
-        budget -= 1
-        counts = fn.use_counts()
-        fired = False
-        for idx, op in enumerate(fn.body):
-            if op.opcode not in ("ckks.add", "ckks.sub"):
-                continue
-            producers = [operand.producer for operand in op.operands]
-            if any(p is None or p.opcode != "ckks.rescale"
-                   for p in producers):
-                continue
-            if any(counts.get(operand.id, 0) != 1
-                   for operand in op.operands):
-                continue
-            u, v = (p.operands[0] for p in producers)
-            if not u.meta or not v.meta:
-                continue
-            if u.meta.get("level") != v.meta.get("level"):
-                continue
-            su, sv = u.meta.get("scale"), v.meta.get("scale")
-            if su is None or sv is None or not math.isclose(
-                    su, sv, rel_tol=_SCALE_RTOL):
-                continue
-            limbs = table.limbs_of(u)
-            add_delta = (table.model.op_seconds("add", limbs)
-                         - table.model.op_seconds("add", max(limbs - 1, 1)))
-            if table.model.op_seconds("rescale", limbs) <= add_delta:
-                continue  # saved rescale would not pay for the wider add
-            if type(u.type) is not type(v.type):
-                continue
-            merged = _fresh(u.type, f"{op.result.name}_pre", u.meta)
-            out = _fresh(op.result.type, f"{op.result.name}_rs",
-                         op.result.meta)
-            fn.body[idx:idx] = [
-                Op(op.opcode, [u, v], [merged], dict(op.attrs)),
-                Op("ckks.rescale", [merged], [out],
-                   {"region": op.attrs.get("region")}),
-            ]
-            fn.replace_uses(op.result, out)
-            rewrites += 1
-            fired = True
-            break
-        if not fired:
-            break
-        fn.dce()
-    return rewrites
+    return _apply("rescale-sink", fn, table, tally)
+
+
+#: pass name -> (root opcodes, ``match(table, op, index)``).  The
+#: production worklist and the tests' naive reference driver both run
+#: these matchers, so they can only differ in *which* op they offer next.
+PATTERNS = {
+    "rotate-fold": (_ROTATE_OPCODES, _match_zero_rotation),
+    "modswitch-compose": (("ckks.modswitch",), _match_modswitch_pair),
+    "rotate-compose": (_ROTATE_OPCODES, _match_rotation_pair),
+    "lazy-relin": (("ckks.rescale", "ckks.modswitch", "ckks.mul",
+                    "ckks.add", "ckks.sub"), _match_lazy_relin),
+    "rescale-sink": (("ckks.add", "ckks.sub"), _match_rescale_pair),
+}
+
+
+def _apply(name: str, fn: Function, table: OpCostTable | None,
+           tally: RewriteTally | None) -> int:
+    roots, match = PATTERNS[name]
+    return apply_patterns(fn, roots, partial(match, table), name, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -748,44 +673,47 @@ def optimize_module(module: Module, stage: str, opt_level: int,
     ``program.stats["opt"]``.
     """
     table = OpCostTable(cost_model)
+    tally = RewriteTally()
     rows: list[dict] = []
+    before = None  # each pass's "after" scan is the next one's "before"
+
+    def each(rewrite, *args) -> int:
+        return sum(rewrite(fn, *args, tally)
+                   for fn in module.functions.values())
 
     def run(name: str, rewrite) -> None:
-        before = _snapshot(module)
+        nonlocal before
+        if before is None:
+            before = _snapshot(module)
+        visited, start = tally.visited, time.perf_counter()
         rewrites = rewrite()
         for fn in module.functions.values():
             dce_function(fn)
+        seconds = time.perf_counter() - start
         after = _snapshot(module)
-        rows.append({
-            "stage": stage, "pass": name, "rewrites": rewrites,
-            "ops_before": before["ops"], "ops_after": after["ops"],
-            "key_switches_before": before["key_switches"],
-            "key_switches_after": after["key_switches"],
-            "level_span_before": before["level_span"],
-            "level_span_after": after["level_span"],
-            "bootstraps_before": before["bootstraps"],
-            "bootstraps_after": after["bootstraps"],
-            "post_refresh_span_before": before["post_refresh_span"],
-            "post_refresh_span_after": after["post_refresh_span"],
-        })
+        row = {"stage": stage, "pass": name, "rewrites": rewrites}
+        for key in ("ops", "key_switches", "level_span", "bootstraps",
+                    "post_refresh_span"):
+            row[f"{key}_before"] = before[key]
+            row[f"{key}_after"] = after[key]
+        row["seconds"] = seconds
+        row["visited"] = tally.visited - visited
+        rows.append(row)
+        before = after
 
     if opt_level >= 1:
         run("const-dedup", lambda: dedup_constant_payloads(module))
         run("cse", lambda: _for_each_function(module, cse_function))
-        run("rotate-fold",
-            lambda: _for_each_function(module, fold_zero_rotations))
+        run("rotate-fold", lambda: each(fold_zero_rotations))
         if stage == "ckks":
-            run("modswitch-compose",
-                lambda: _for_each_function(module, compose_modswitches))
+            run("modswitch-compose", lambda: each(compose_modswitches))
     if opt_level >= 2:
-        run("rotate-compose", lambda: _for_each_function(
-            module, lambda fn: compose_rotations(fn, table)))
+        run("rotate-compose", lambda: each(compose_rotations, table))
         if stage == "ckks":
-            run("lazy-relin", lambda: _for_each_function(
-                module, lambda fn: (lazy_relinearize(fn, table)
-                                    + relinearize_for_legality(fn))))
-            run("rescale-sink", lambda: _for_each_function(
-                module, lambda fn: sink_rescales(fn, table)))
+            run("lazy-relin", lambda: each(lambda fn, tally: (
+                lazy_relinearize(fn, table, tally)
+                + relinearize_for_legality(fn))))
+            run("rescale-sink", lambda: each(sink_rescales, table))
         run("cleanup", lambda: (
             _for_each_function(module, cse_function)
             + collect_constants(module)))
