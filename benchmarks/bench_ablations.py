@@ -14,10 +14,10 @@ import numpy as np
 
 from repro.backend import SchemeConfig, SimBackend
 from repro.compiler import ACECompiler, CompileOptions
-from repro.evalharness.costmodel import CostModel
 from repro.expert import ExpertConfig, ExpertInference
 from repro.nn import model_to_onnx, resnet_mini
 from repro.onnx import load_model_bytes, model_to_bytes
+from repro.passes.cost import CostModel
 from repro.passes.frontend import onnx_to_nn
 
 

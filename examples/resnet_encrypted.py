@@ -16,10 +16,10 @@ import numpy as np
 
 from repro.backend import SchemeConfig, SimBackend
 from repro.compiler import ACECompiler, CompileOptions
-from repro.evalharness.costmodel import CostModel
 from repro.expert import ExpertConfig, ExpertInference
 from repro.nn import SyntheticCifar, build_resnet, model_to_onnx, train_classifier
 from repro.onnx import load_model_bytes, model_to_bytes
+from repro.passes.cost import CostModel
 from repro.passes.frontend import onnx_to_nn
 
 

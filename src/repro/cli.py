@@ -48,13 +48,11 @@ def _add_compile_options(parser: argparse.ArgumentParser) -> None:
                              "2 = + rotation composition, lazy relin, "
                              "rescale sinking (default)")
     parser.add_argument("--layout-tune", default="heuristic",
-                        choices=("off", "heuristic", "search"),
+                        choices=("heuristic", "search"),
                         help="packing/BSGS layout selection: 'heuristic' "
                              "keeps the fixed rules and records the "
                              "modeled cost (default), 'search' runs the "
-                             "cost-model-driven per-layer autotuner, "
-                             "'off' skips the machinery entirely "
-                             "(identical output to 'heuristic')")
+                             "cost-model-driven per-layer autotuner")
 
 
 def _options_from(args):
@@ -74,7 +72,7 @@ def _options_from(args):
 def _layout_summary_line(program) -> str | None:
     """One-line layout-autotune summary (None when nothing to report)."""
     layout = program.stats.get("layout")
-    if not layout or layout.get("mode") in (None, "off"):
+    if not layout or layout.get("mode") is None:
         return None
     line = f"layout: mode {layout['mode']}"
     plan = layout.get("plan")
@@ -541,7 +539,7 @@ def main(argv=None) -> int:
                               "shared budget from schedule width x batch "
                               "occupancy (default: $REPRO_JOBS or 1)")
     p_serve.add_argument("--layout-tune", default="heuristic",
-                         choices=("off", "heuristic", "search"),
+                         choices=("heuristic", "search"),
                          help="layout/BSGS autotuning for the served "
                               "compile; 'search' pays extra compile time "
                               "once at startup")

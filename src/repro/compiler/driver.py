@@ -24,26 +24,20 @@ from repro.ir.printer import print_function
 from repro.onnx.protos import ModelProto
 from repro.params import ParameterSelector, SelectedParameters
 from repro.polymath import kernels
+from repro.passes import layout_tune, levels
+from repro.passes.cost import CostModel
 from repro.passes.frontend import onnx_to_nn
-from repro.passes.levels import (
-    clone_module,
-    run_level_replan,
-    summarize_levels_stats,
-)
 from repro.passes.opt import (
-    OpCostTable,
     make_opt_pass,
     recompute_rotation_steps,
     summarize_opt_stats,
 )
 from repro.passes.lowering.nn_to_vector import NnToVectorLowering
-from repro.passes.lowering.sihe_to_ckks import (
-    DepthAnalysis,
-    SiheToCkksLowering,
-)
+from repro.passes.lowering.sihe_to_ckks import DepthAnalysis
 from repro.passes.lowering.vector_to_sihe import VectorToSiheLowering
 from repro.passes.nn_opt import nn_operator_fusion
 from repro.runtime.ckks_interp import run_ckks_function
+from repro.runtime.executor import resolve_jobs
 from repro.runtime.nn_interp import run_nn_function
 from repro.utils.bits import next_power_of_two
 
@@ -107,11 +101,10 @@ class CompileOptions:
     #: rewrites only (CSE, dedup, folds), 2 = + rotation composition,
     #: lazy relinearization, rescale sinking (see repro.passes.opt)
     opt_level: int = 2
-    #: data-layout autotuning (repro.passes.layout_tune): "off" keeps the
-    #: legacy heuristic path untouched, "heuristic" (default) records the
-    #: heuristic plan + predicted cost in ``stats["layout"]`` without
-    #: changing the program, "search" runs the cost-model-driven
-    #: per-layer packing/BSGS search and adopts the argmin plan
+    #: data-layout autotuning (repro.passes.layout_tune): "heuristic"
+    #: (default) lowers with the fixed layout heuristic, "search" runs
+    #: the cost-model-driven per-layer packing/BSGS search and adopts the
+    #: argmin plan when its final CKKS IR prices cheaper
     layout_tune: str = "heuristic"
     #: explicit :class:`repro.passes.layout.LayoutPlan` to lower with
     #: (tests / reproducing a recorded plan); suppresses the search
@@ -163,11 +156,7 @@ class CompiledProgram:
     @property
     def bootstrap_targets(self) -> list[int]:
         """Refresh targets in the final IR, in execution order."""
-        return [
-            op.attrs.get("target_level")
-            for op in self.module.main().body
-            if op.opcode == "ckks.bootstrap"
-        ]
+        return levels.bootstrap_targets(self.module.main())
 
     @property
     def needs_bootstrap(self) -> bool:
@@ -277,120 +266,46 @@ class ACECompiler:
 
     def compile(self) -> CompiledProgram:
         opts = self.options
-        if opts.layout_tune not in ("off", "heuristic", "search"):
+        if opts.layout_tune not in ("heuristic", "search"):
             raise CompileError(
                 f"unknown layout_tune mode {opts.layout_tune!r} "
-                "(off|heuristic|search)"
+                "(heuristic|search)"
             )
         timers = PassManager()
-        if opts.exact_params is not None:
-            slots = opts.exact_params.num_slots
-        else:
-            slots = opts.slots or (opts.batch_size * self._minimum_slots())
-        for attempt in range(16):
-            try:
-                module, context = self._lower_front(timers, slots,
-                                                    opts.layout_plan)
-            except LoweringError:
-                # activations did not fit the provisional slot count
-                slots *= 2
-                continue
-            analysis: DepthAnalysis = context["depth_analysis"]
-            selector = ParameterSelector(opts.security_bits)
-            region_depth = analysis.max_depth + opts.level_margin
-            selection = selector.select(
-                depth=region_depth,
-                simd_width=slots,
-                log_scale=opts.log_scale,
-                log_q0=opts.log_q0,
-            )
-            if opts.exact_params is not None:
-                break
-            required_slots = selection.degree // 2
-            if required_slots <= slots:
-                break
-            slots = required_slots
-        else:
-            raise CompileError("parameter selection did not converge")
+        slots, selection, module, context = self._select_parameters(timers)
+        scheme, moduli = self._build_scheme(
+            slots, selection, context["depth_analysis"])
+        pricer = CostModel(scheme.poly_degree, scheme.num_special_primes)
         layout_stats: dict = {"mode": opts.layout_tune}
-        baseline = None
+        candidate = None
         if opts.layout_plan is not None:
             layout_stats["plan"] = opts.layout_plan.describe()
         elif opts.layout_tune == "search":
-            baseline = (module, context, analysis)
-            module, context, analysis, search_info = self._tune_layout(
-                timers, slots, selection, module, context, analysis
-            )
-            layout_stats.update(search_info)
-            if not search_info.get("adopted"):
-                baseline = None
-        # size the modulus chain for the deeper of the two candidates
-        # (the tune guard keeps the plan's depth <= the heuristic's, so
-        # this is the heuristic's depth — and lets the final-cost guard
-        # below revert to it without re-selecting parameters)
-        level_analysis = baseline[2] if baseline is not None else analysis
-        if opts.exact_params is not None:
-            params = opts.exact_params
-            scheme = SchemeConfig(
-                poly_degree=params.poly_degree,
-                scale_bits=params.scale_bits,
-                first_prime_bits=params.first_prime_bits,
-                num_levels=params.num_levels,
-                num_special_primes=params.num_special_primes,
-                secret_hamming_weight=params.secret_hamming_weight,
-            )
-            moduli = [float(q) for q in params.moduli]
-            needed = (
-                level_analysis.max_depth + opts.level_margin
-                if opts.bootstrap_enabled
-                else self._total_depth(level_analysis) + opts.level_margin
-            )
-            if params.num_levels < needed:
-                raise CompileError(
-                    f"exact parameters provide {params.num_levels} levels "
-                    f"but the program needs {needed}"
-                )
-        else:
-            num_levels = (
-                level_analysis.max_depth + opts.level_margin
-                if opts.bootstrap_enabled
-                else self._total_depth(level_analysis) + opts.level_margin
-            )
-            scheme = SchemeConfig(
-                poly_degree=2 * slots,
-                scale_bits=opts.log_scale,
-                first_prime_bits=opts.log_q0,
-                num_levels=num_levels,
-                num_special_primes=selection.num_special_primes,
-            )
-            moduli = None
-        self._lower_ckks(timers, module, context, scheme, moduli)
-        if baseline is not None:
-            # final-cost guard: the search prices candidates at the
-            # VECTOR level (fixed limbs, no bootstrap/replan view), so a
-            # plan that looked cheaper there can lose once levels and
-            # refreshes are real.  Lower the heuristic too and keep
-            # whichever final CKKS IR the hoisting-aware table says is
-            # cheaper.
-            bmodule, bcontext, banalysis = baseline
-            self._lower_ckks(timers, bmodule, bcontext, scheme, moduli)
-            chosen_cost = OpCostTable(
-                context["cost_model"]).function_cost(module.main())
-            naive_cost = OpCostTable(
-                bcontext["cost_model"]).function_cost(bmodule.main())
-            layout_stats["predicted_final_seconds"] = {
-                "heuristic": naive_cost, "chosen": chosen_cost}
-            if chosen_cost > naive_cost:
-                module, context, analysis = bmodule, bcontext, banalysis
-                layout_stats["adopted"] = False
-                layout_stats["reverted_by_final_cost"] = True
+            result = self._search_plan(slots, selection,
+                                       context["nn_module"])
+            layout_stats.update(result.info, adopted=False)
+            candidate = self._lower_plan(timers, slots, result.plan, scheme,
+                                         moduli, pricer)
+        self._lower_ckks(timers, module, context, scheme, moduli, pricer)
+        if candidate is not None:
+            # the search prices candidates at the VECTOR level (fixed
+            # limbs, no bootstrap/replan view), so a plan that looked
+            # cheaper there can lose once levels and refreshes are real:
+            # keep whichever *final* CKKS IR is cheaper
+            costs = {"heuristic": pricer.function_cost(module.main()),
+                     "chosen": pricer.function_cost(candidate[0].main())}
+            layout_stats["predicted_final_seconds"] = costs
+            if costs["chosen"] <= costs["heuristic"]:
+                module, context = candidate
+                layout_stats["adopted"] = True
         stats = {
             "ckks_ops": module.main().op_count(),
             "rotations": len(context["rotation_steps"]),
             "schedule": context["schedules"][module.main().name].describe(),
             "opt": summarize_opt_stats(context.get("opt_stats", []),
                                        opts.opt_level),
-            "levels": summarize_levels_stats(context.get("levels_stats")),
+            "levels": levels.summarize_levels_stats(
+                context.get("levels_stats")),
             # which NTT/RNS kernel backend executions will run on (the
             # process-global --kernel / REPRO_KERNEL selection)
             "kernel_backend": kernels.active_name(),
@@ -399,15 +314,13 @@ class ACECompiler:
             # alignment units than the depth estimate predicts)
             "align_margin": context.get("align_margin"),
         }
-        if opts.layout_tune != "off" or opts.layout_plan is not None:
-            # predicted end-to-end seconds of the *final* CKKS IR under
-            # the hoisting-aware table; `repro run` / the layout bench
-            # pair it with a measurement via note_measured_seconds
-            table = OpCostTable(context["cost_model"])
-            layout_stats["predicted_seconds"] = table.function_cost(
-                module.main())
-            layout_stats["schedule_max_width"] = stats["schedule"].get(
-                "max_width")
+        # predicted end-to-end seconds of the *final* CKKS IR; `repro
+        # run` / the layout bench pair it with a measurement via
+        # note_measured_seconds
+        layout_stats["predicted_seconds"] = pricer.function_cost(
+            module.main())
+        layout_stats["schedule_max_width"] = stats["schedule"].get(
+            "max_width")
         stats["layout"] = layout_stats
         if opts.poly_mode != "off":
             stats["poly"] = self._poly_stage(timers, module, context, scheme)
@@ -420,51 +333,102 @@ class ACECompiler:
             input_layouts=context["input_layouts"],
             output_layouts=context["output_layouts"],
             pass_timers=dict(timers.timers.totals),
-            depth=analysis,
+            depth=context["depth_analysis"],
             stats=stats,
         )
 
     # -- internals ---------------------------------------------------------
 
-    def _tune_layout(self, timers, slots, selection, module, context,
-                     analysis):
-        """Search per-layer packings and re-lower with the argmin plan.
-
-        The search runs on the fused NN module snapshot (cleartext numpy
-        at the VECTOR level — a candidate costs milliseconds); the
-        winning plan then goes through one full verified re-lowering.
-        Rotation-key analysis and scheduling always run *after* the
-        plan in ``_lower_ckks``, so the generated keys match the tuned
-        program (the PR-8 replanning discipline).
-        """
-        from repro.evalharness.costmodel import CostModel
-        from repro.passes import layout_tune
-
+    def _select_parameters(self, timers):
+        """Front-lower at a provisional slot count and select security
+        parameters, re-lowering while the activations or the selected
+        ring need more slots (see the module docstring)."""
         opts = self.options
+        if opts.exact_params is not None:
+            slots = opts.exact_params.num_slots
+        else:
+            slots = opts.slots or (opts.batch_size * self._minimum_slots())
+        for _attempt in range(16):
+            try:
+                module, context = self._lower_front(timers, slots,
+                                                    opts.layout_plan)
+            except LoweringError:
+                # activations did not fit the provisional slot count
+                slots *= 2
+                continue
+            selection = ParameterSelector(opts.security_bits).select(
+                depth=context["depth_analysis"].max_depth
+                + opts.level_margin,
+                simd_width=slots,
+                log_scale=opts.log_scale,
+                log_q0=opts.log_q0,
+            )
+            required_slots = selection.degree // 2
+            if opts.exact_params is not None or required_slots <= slots:
+                return slots, selection, module, context
+            slots = required_slots
+        raise CompileError("parameter selection did not converge")
+
+    def _build_scheme(self, slots, selection, analysis: DepthAnalysis):
+        """The scheme shape and modulus chain every lowering targets."""
+        opts = self.options
+        # without bootstrapping the chain must cover the whole program
+        needed = opts.level_margin + (
+            analysis.max_depth if opts.bootstrap_enabled
+            else max(analysis.input_requirement
+                     + sum(analysis.hint_requirements.values()),
+                     analysis.max_depth)
+        )
+        params = opts.exact_params
+        if params is None:
+            scheme = SchemeConfig(
+                poly_degree=2 * slots,
+                scale_bits=opts.log_scale,
+                first_prime_bits=opts.log_q0,
+                num_levels=needed,
+                num_special_primes=selection.num_special_primes,
+            )
+            return scheme, [float(2**opts.log_q0)] + [
+                float(2**opts.log_scale)] * needed
+        if params.num_levels < needed:
+            raise CompileError(
+                f"exact parameters provide {params.num_levels} levels "
+                f"but the program needs {needed}"
+            )
+        scheme = SchemeConfig(
+            poly_degree=params.poly_degree,
+            scale_bits=params.scale_bits,
+            first_prime_bits=params.first_prime_bits,
+            num_levels=params.num_levels,
+            num_special_primes=params.num_special_primes,
+            secret_hamming_weight=params.secret_hamming_weight,
+        )
+        return scheme, [float(q) for q in params.moduli]
+
+    def _search_plan(self, slots, selection, nn_module):
+        """Search per-layer packings on the fused NN module snapshot
+        (cleartext numpy at the VECTOR level — a candidate costs
+        milliseconds); returns the argmin plan and the search's stats."""
         model = CostModel.calibrated(
             poly_degree=2 * slots,
             num_special_primes=max(1, selection.num_special_primes),
         )
-        result = layout_tune.search_plan(
-            context["nn_module"], slots, opts, model
-        )
-        info = dict(result.info)
-        info["adopted"] = False
-        if len(result.plan):
-            try:
-                module2, context2 = self._lower_front(timers, slots,
-                                                      result.plan)
-            except LoweringError:
-                return module, context, analysis, info
-            analysis2 = context2["depth_analysis"]
-            # layout choices never add multiplicative depth; guard the
-            # already-selected parameters against surprises anyway
-            if (analysis2.max_depth <= analysis.max_depth
-                    and self._total_depth(analysis2)
-                    <= self._total_depth(analysis)):
-                info["adopted"] = True
-                return module2, context2, analysis2, info
-        return module, context, analysis, info
+        return layout_tune.search_plan(
+            nn_module, slots, self.options, model, resolve_jobs(None))
+
+    def _lower_plan(self, timers, slots, plan, scheme, moduli, pricer):
+        """One full verified lowering of a searched plan into the scheme
+        already built for the heuristic.  Returns ``(module, context)``,
+        or None when there is nothing to weigh against the heuristic:
+        the search kept it, or the plan does not lower."""
+        if not len(plan):
+            return None
+        try:
+            module, context = self._lower_front(timers, slots, plan)
+            self._lower_ckks(timers, module, context, scheme, moduli, pricer)
+        except (LoweringError, CompileError):
+            return None
+        return module, context
 
     def _minimum_slots(self) -> int:
         largest = 1
@@ -475,10 +439,6 @@ class ACECompiler:
             for d in value_info.shape:
                 size *= max(d, 1)
             largest = max(largest, size)
-        for t in self.model.graph.initializer:
-            # intermediate activations are bounded by channelsxHxW which
-            # conv weights bound as c_out * spatial of inputs; keep simple:
-            pass
         return next_power_of_two(max(largest, 2))
 
     def _lower_front(self, timers: PassManager, slots: int,
@@ -512,7 +472,8 @@ class ACECompiler:
             # fused module's op indices)
             pm2.add(Pass(
                 "nn-snapshot", "NN",
-                lambda m, c: c.__setitem__("nn_module", clone_module(m)),
+                lambda m, c: c.__setitem__(
+                    "nn_module", levels.clone_module(m)),
             ))
         pm2.add(Pass(
             "nn-to-vector", "VECTOR",
@@ -547,28 +508,15 @@ class ACECompiler:
         pm2.run(module, context)
         return module, context
 
-    def _total_depth(self, analysis: DepthAnalysis) -> int:
-        # without bootstrapping the chain must cover the whole program
-        total = analysis.input_requirement
-        total += sum(analysis.hint_requirements.values())
-        return max(total, analysis.max_depth)
-
     def _lower_ckks(self, timers, module, context, scheme: SchemeConfig,
-                    moduli: list[float] | None = None):
-        if moduli is None:
-            moduli = [float(2**scheme.first_prime_bits)] + [
-                float(2**scheme.scale_bits)
-            ] * scheme.num_levels
-        from repro.evalharness.costmodel import CostModel
-
-        context["cost_model"] = CostModel(
-            poly_degree=scheme.poly_degree,
-            num_special_primes=scheme.num_special_primes,
-        )
+                    moduli: list[float], pricer: CostModel):
+        opts = self.options
+        context["cost_model"] = pricer
         # the replanner re-runs the scale/level assignment from the SIHE
         # module, which the lowering consumes — snapshot it first
-        sihe_snapshot = (clone_module(module)
-                         if self.options.opt_level >= 2 else None)
+        sihe_snapshot = (levels.clone_module(module)
+                         if opts.opt_level >= 2 else None)
+
         def lower_sihe(m, ctx):
             # the refresh targets come from a SIHE-level depth estimate;
             # real prime chains (``exact_params``) can cost more
@@ -578,22 +526,16 @@ class ACECompiler:
             # measured needs of the optimized DAG
             last_err = None
             for margin in (2, 4, 6, 8):
-                candidate = clone_module(m)
-                attempt_ctx = dict(ctx)
                 try:
-                    SiheToCkksLowering(
-                        moduli, scheme.scale,
-                        self.options.bootstrap_enabled,
-                        self.options.minimal_level_bootstrap,
-                        align_margin=margin,
-                    ).run(candidate, attempt_ctx)
+                    candidate, cand_ctx = levels.lower_sihe_clone(
+                        m, moduli, scheme.scale, opts, align_margin=margin)
                 except LoweringError as err:
                     last_err = err
                     continue
                 m.functions = candidate.functions
                 m.constants = candidate.constants
                 m.meta = candidate.meta
-                ctx.update(attempt_ctx)
+                ctx.update(cand_ctx)
                 ctx["align_margin"] = margin
                 return
             raise last_err
@@ -603,27 +545,25 @@ class ACECompiler:
             "sihe-to-ckks", "CKKS", lower_sihe,
             "rescale/relin/bootstrap placement, key analysis",
         ))
-        if self.options.opt_level >= 1:
+        if opts.opt_level >= 1:
             pm.add(Pass(
                 "ckks-opt", "CKKS",
-                make_opt_pass("ckks", self.options.opt_level),
+                make_opt_pass("ckks", opts.opt_level),
                 "op reduction: CSE, rotation composition, lazy relin, "
                 "rescale sinking",
             ))
-        if self.options.opt_level >= 2:
+        if opts.opt_level >= 2:
             # bootstrap re-placement only makes sense when refreshes are
             # both enabled and minimally targeted (the ablation flag
             # pins refreshes to the full chain on purpose); the global
             # relin placement inside the pass runs regardless
-            boot_rounds = 3 if (self.options.bootstrap_enabled
-                                and self.options.minimal_level_bootstrap) \
-                else 0
+            boot_rounds = 3 if (opts.bootstrap_enabled
+                                and opts.minimal_level_bootstrap) else 0
             pm.add(Pass(
                 "ckks-level-replan", "CKKS",
-                lambda m, c: run_level_replan(
-                    m, sihe_snapshot, moduli, scheme.scale,
-                    self.options, c.get("cost_model"), c,
-                    max_rounds=boot_rounds,
+                lambda m, c: levels.run_level_replan(
+                    m, sihe_snapshot, moduli, scheme.scale, opts, pricer,
+                    c, max_rounds=boot_rounds,
                 ),
                 "post-opt bootstrap/level re-planning to fixpoint",
             ))

@@ -5,7 +5,7 @@ plain data (dicts/rows) plus an ASCII rendering; the benchmark suite under
 ``benchmarks/`` drives them through pytest-benchmark.
 """
 
-from repro.evalharness.costmodel import CostModel
 from repro.evalharness.memmodel import MemoryModel
+from repro.passes.cost import CostModel
 
 __all__ = ["CostModel", "MemoryModel"]

@@ -9,13 +9,13 @@ single-thread seconds split into Conv / Bootstrap / ReLU / Other.
 from __future__ import annotations
 
 from repro.backend import SchemeConfig, SimBackend
-from repro.evalharness.costmodel import CostModel
 from repro.evalharness.models import (
     EVAL_MODELS,
     compiled_model,
     nn_module_for,
 )
 from repro.expert import ExpertConfig, ExpertInference
+from repro.passes.cost import CostModel
 
 REGIONS = ("Conv", "Bootstrap", "ReLU", "Other")
 

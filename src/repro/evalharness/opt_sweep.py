@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler import ACECompiler, CompileOptions
-from repro.evalharness.costmodel import CostModel
 from repro.evalharness.models import EVAL_MODELS, trained_model
 from repro.nn import model_to_onnx
 from repro.onnx import OnnxGraphBuilder, load_model_bytes, model_to_bytes
-from repro.passes.opt import OpCostTable, bootstrap_count, key_switch_count
+from repro.passes.cost import CostModel
+from repro.passes.opt import bootstrap_count, key_switch_count
 
 
 def _dense_gemm_proto(features: int):
@@ -44,10 +44,10 @@ def sweep_rows(models=EVAL_MODELS, scale: str = "ci",
             program = ACECompiler(proto, CompileOptions(
                 sign_iterations=4, poly_mode="off", opt_level=level,
             )).compile()
-            table = OpCostTable(CostModel(
+            table = CostModel(
                 poly_degree=program.scheme.poly_degree,
                 num_special_primes=program.scheme.num_special_primes,
-            ))
+            )
             fn = program.module.main()
             rows.append({
                 "model": name,
@@ -72,8 +72,8 @@ def layout_rows(models=EVAL_MODELS, scale: str = "ci") -> list[dict]:
     make the speedup column meaningless.  A ``gemm-48`` row (the dense
     GEMV workload of ``bench_layout_tune.py``, where the rotate-dedup
     heuristic is far from optimal) rides along after the zoo models; a
-    1.00x zoo row means the final-cost guard found the heuristic
-    already optimal and reverted the searched plan — the *choice* is
+    1.00x zoo row means the searched plan's final CKKS IR priced no
+    cheaper than the heuristic's and was not adopted — the *choice* is
     still the tuner's.
     """
     workloads: list[tuple[str, object]] = []
@@ -91,10 +91,10 @@ def layout_rows(models=EVAL_MODELS, scale: str = "ci") -> list[dict]:
                 layout_tune=mode,
                 slots=256 if name == "gemm-48" else None,
             )).compile()
-            table = OpCostTable(CostModel(
+            table = CostModel(
                 poly_degree=program.scheme.poly_degree,
                 num_special_primes=program.scheme.num_special_primes,
-            ))
+            )
             fn = program.module.main()
             layout = program.stats.get("layout", {})
             per_mode[mode] = {
@@ -104,8 +104,8 @@ def layout_rows(models=EVAL_MODELS, scale: str = "ci") -> list[dict]:
                 "max_width": layout.get("schedule_max_width"),
                 "modeled_seconds": table.function_cost(fn),
                 # the plan column shows what the compile *committed* —
-                # a searched plan the final-cost guard reverted is not
-                # an override
+                # a searched plan that was not adopted is not an
+                # override
                 "plan": (layout.get("plan", {})
                          if layout.get("adopted", True) else {}),
             }

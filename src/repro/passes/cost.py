@@ -1,11 +1,18 @@
-"""Analytic cost model for RNS-CKKS operations.
+"""The one op pricer: analytic RNS-CKKS cost model over ops, traces and IR.
 
-Converts an :class:`~repro.backend.trace.OpTrace` (op, limb-count,
-region-tag aggregates) into estimated single-thread seconds, using the
-asymptotic costs of §2.3 — multiplications and rotations are
-``O(N log N * r^2)`` (key switching dominates), additions ``O(N * r)``,
-bootstrapping linear in the refreshed level (§4.4) — with constants
-calibrated against the real :class:`ExactBackend` kernels.
+Converts an operation kind and limb count — read from an
+:class:`~repro.backend.trace.OpTrace` (op, limb-count, region-tag
+aggregates) or from the ops of a VECTOR / SIHE / CKKS function — into
+estimated single-thread seconds, using the asymptotic costs of §2.3 —
+multiplications and rotations are ``O(N log N * r^2)`` (key switching
+dominates), additions ``O(N * r)``, bootstrapping linear in the
+refreshed level (§4.4) — with constants calibrated against the real
+:class:`ExactBackend` kernels.
+
+Every cost-aware decision of the compiler (the optimizer's gates, the
+level replanner, the layout search and its adoption) and the evaluation
+harness price through this module, so they are judged by one yardstick;
+it sits below ``repro.passes.opt`` and imports nothing above ``ir``.
 
 Absolute numbers depend on the host; the *relative* ACE-vs-Expert shape
 (Figure 6) comes from op counts, limb counts and bootstrap targets, which
@@ -17,9 +24,41 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.backend.trace import OpTrace
+from repro.ir.core import Function, Op, Value
+from repro.ir.schedule import compute_schedule
+from repro.ir.types import Cipher3Type
+
+#: opcode -> priced kind for the ``vector.*``, ``sihe.*`` and ``ckks.*``
+#: dialects; an opcode absent here is free.  ``ckks.mul`` is absent on
+#: purpose: pricing it moves the replanner's decisions and every
+#: recorded ``predicted_seconds``, so it waits for calibration
+#: (ROADMAP item 3).
+_KIND = {
+    "ckks.add": "add", "ckks.sub": "sub", "ckks.neg": "negate",
+    "ckks.relin": "relin", "ckks.rotate": "rotate",
+    "ckks.conjugate": "conjugate", "ckks.rescale": "rescale",
+    "ckks.modswitch": "modswitch", "ckks.upscale": "upscale",
+    "ckks.bootstrap": "bootstrap", "ckks.encode": "encode",
+    "sihe.add": "add", "sihe.sub": "sub", "sihe.neg": "negate",
+    "sihe.rotate": "rotate", "sihe.mul": "mul",
+    "vector.roll": "rotate", "vector.mul": "mul_plain",
+    "vector.add": "add",
+    "vector.relu": "nonlinear", "vector.nonlinear": "nonlinear",
+}
+
+#: limbs assumed for a value without a planned ``level`` in its meta
+#: (VECTOR / SIHE IR, hand-built CKKS IR); a constant is fine because
+#: every candidate of one model is priced under the same assumption
+DEFAULT_LIMBS = 8
+
+#: modeled work of one nonlinearity (sign-iteration ladder) in
+#: (mul + relin) pairs; identical across layout candidates — layout
+#: choices never change the nonlinearity count — but keeping it in the
+#: total stops the schedule factor from overweighting linear regions
+_NONLINEAR_PAIRS = 8
 
 #: process-wide calibration memo: measuring the host's kernel constants
 #: costs real wall-clock (ExactBackend keygen + timed ops), and the
@@ -35,7 +74,7 @@ _calibration_lock = threading.Lock()
 class CostModel:
     """Per-op timing formulas, parameterised by ring degree N."""
 
-    poly_degree: int
+    poly_degree: int = 8192
     num_special_primes: int = 1
     #: seconds per (N log2 N) butterfly unit — NTT/pointwise kernels
     c_ntt: float = 2.0e-9
@@ -129,6 +168,90 @@ class CostModel:
     def total_seconds(self, trace: OpTrace) -> float:
         return sum(self.trace_seconds(trace).values())
 
+    # -- IR pricing ---------------------------------------------------------
+
+    def limbs_of(self, value: Value) -> int:
+        """Limbs of a value: planned level + 1 when ``Value.meta``
+        carries scale-management metadata, else ``DEFAULT_LIMBS``."""
+        level = value.meta.get("level") if value.meta else None
+        return (level + 1) if level is not None else DEFAULT_LIMBS
+
+    def op_cost(self, op: Op, limb_shift: int = 0) -> float:
+        """Estimated seconds for one op; ``limb_shift`` prices the same
+        op as if it ran that many levels higher on the chain (the level
+        replanner uses this to cost keeping a region deep instead of
+        refreshing)."""
+        kind = _KIND.get(op.opcode)
+        if kind is None:
+            return 0.0
+        limbs = self.limbs_of(op.results[0]) if op.results \
+            else DEFAULT_LIMBS
+        limbs = max(limbs + limb_shift, 1)
+        if kind == "nonlinear":
+            return _NONLINEAR_PAIRS * (
+                self.op_seconds("mul", limbs)
+                + self.op_seconds("relin", limbs)
+            )
+        cost = self.op_seconds(kind, limbs)
+        if kind in ("add", "sub", "mul_plain", "negate") and any(
+                isinstance(o.type, Cipher3Type) for o in op.operands):
+            cost *= 1.5  # three polynomial parts instead of two
+        return cost
+
+    def key_switch_cost(self, limbs: int) -> float:
+        return self.op_seconds("relin", limbs)
+
+    def extra_part_cost(self, limbs: int) -> float:
+        """Added cost of carrying one extra ciphertext part through an
+        element-wise op (the price of deferring a relinearisation)."""
+        return self.op_seconds("mul_plain", limbs) * 0.5
+
+    def function_cost(self, fn: Function, jobs: int = 1) -> float:
+        """Modeled seconds for a whole function under ``jobs`` lanes.
+
+        Rotations sharing one source ciphertext are costed as a batch at
+        a single shared digit decomposition
+        (:meth:`hoisted_rotation_seconds`) — per-rotation pricing
+        over-penalised BSGS regions and skewed every cost gate that
+        compares rotation-heavy candidates.  This is a pricing
+        convention, not what executes today: no compiled program
+        reaches ``ExactBackend.rotate_hoisted``, so every ``ckks.rotate``
+        still pays its own decomposition (ROADMAP, "Hoisted rotations in
+        the compiled path").
+
+        At ``jobs > 1`` that hoisted sequential cost is scaled by the
+        *schedule factor*: LPT-greedy makespan over the wavefront stages
+        at ``min(jobs, width)`` lanes, divided by total work — smaller
+        for wide schedules, so a plan that narrows the schedule pays
+        for it.
+        """
+        total = 0.0
+        rotation_batches: dict[int, list[Op]] = {}
+        for op in fn.body:
+            if _KIND.get(op.opcode) == "rotate":
+                rotation_batches.setdefault(
+                    op.operands[0].id, []).append(op)
+            else:
+                total += self.op_cost(op)
+        for batch in rotation_batches.values():
+            limbs = self.limbs_of(batch[0].results[0])
+            total += self.hoisted_rotation_seconds(limbs, len(batch))
+        if jobs <= 1:
+            return total
+        work = makespan = 0.0
+        for stage in compute_schedule(fn).stages:
+            weights = sorted(
+                (self.op_cost(fn.body[i]) for i in stage), reverse=True
+            )
+            work += sum(weights)
+            lanes = [0.0] * max(1, min(jobs, len(weights)))
+            for w in weights:
+                lanes[lanes.index(min(lanes))] += w
+            makespan += max(lanes)
+        if work <= 0.0:
+            return total
+        return total * (makespan / work)
+
     # -- calibration ------------------------------------------------------
 
     @classmethod
@@ -193,23 +316,3 @@ class CostModel:
         model.c_boot = model.c_ntt * 30.0  # CtS+EvalMod+StC per level
         return model
 
-
-@dataclass
-class InferenceBreakdown:
-    """Figure-6 row: per-region seconds for one model/implementation."""
-
-    model: str
-    implementation: str
-    regions: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return sum(self.regions.values())
-
-    def row(self) -> dict:
-        return {
-            "model": self.model,
-            "impl": self.implementation,
-            **{k: round(v, 4) for k, v in self.regions.items()},
-            "total": round(self.total, 4),
-        }

@@ -12,25 +12,19 @@ single hand-chosen packing across a model zoo.  This pass turns
   (:func:`repro.passes.layout.bsgs_giant_candidates`);
 * :func:`plan_cost` lowers a candidate :class:`LayoutPlan` through the
   real ``NnToVectorLowering`` + vector optimizer and prices the post-opt
-  VECTOR IR with the calibrated :class:`CostModel` — rotation batches
-  per source are priced *hoisted* (the PR-8 lesson: per-rotation pricing
-  over-taxes BSGS plans by nearly a full decomposition per step; the
-  runtime does not share that decomposition yet — see ROADMAP, "Hoisted
-  rotations in the compiled path") — then
-  scales by the wavefront-schedule parallel factor at the effective job
-  count, so a plan that narrows the schedule pays for it;
+  VECTOR IR with :meth:`repro.passes.cost.CostModel.function_cost` —
+  the same pricer every other gate uses: rotation batches per source
+  priced *hoisted*, scaled by the wavefront-schedule factor at the
+  effective job count, so a plan that narrows the schedule pays for it;
 * :func:`search_plan` runs greedy coordinate descent over the layers
   (sweeps until no single-layer change improves), returning the argmin
-  plan the driver re-lowers through the normal pipeline — rotation-key
-  analysis and scheduling always run last there, so the generated keys
-  match the tuned program.
+  plan.  The driver lowers it through the normal pipeline, prices the
+  final CKKS IR with the same pricer and keeps it only if it is cheaper
+  than the heuristic's — rotation-key analysis and scheduling always
+  run last there, so the generated keys match the tuned program.
 
-Costing happens entirely at the VECTOR level on cleartext numpy
-plans: a candidate evaluation is a few milliseconds, not a compile.
-The vector-level price table deliberately lives here and NOT in
-``repro.passes.opt._COST_KIND`` — extending the optimizer's own table
-would shift its cost gates and break the bit-identity contract of the
-default compile path.
+The search itself costs candidates at the VECTOR level on cleartext
+numpy plans: a candidate evaluation is a few milliseconds, not a compile.
 """
 
 from __future__ import annotations
@@ -40,83 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import LoweringError
-from repro.ir.schedule import compute_schedule
 from repro.passes.layout import LayoutPlan, bsgs_giant_candidates
 from repro.passes.levels import clone_module
 from repro.passes.lowering.nn_to_vector import NnToVectorLowering
 from repro.passes.opt import make_opt_pass
-from repro.runtime.executor import resolve_jobs
 from repro.utils.bits import next_power_of_two
-
-#: limbs assumed for vector-level costing — VECTOR IR carries no level
-#: metadata yet; a constant is fine because every candidate of one model
-#: is priced under the same assumption (ranking, not absolute seconds)
-_VECTOR_LIMBS = 8
-
-#: modeled work of one nonlinearity (sign-iteration ladder) in
-#: (mul + relin) pairs; identical across layout candidates — layout
-#: choices never change the nonlinearity count — but keeping it in the
-#: total stops the parallel factor from overweighting linear regions
-_NONLINEAR_PAIRS = 8
-
-
-def _op_seconds(op, model) -> float:
-    """Sequential modeled seconds of one VECTOR op (unhoisted)."""
-    code = op.opcode
-    if code == "vector.roll":
-        return model.op_seconds("rotate", _VECTOR_LIMBS)
-    if code == "vector.mul":
-        return model.op_seconds("mul_plain", _VECTOR_LIMBS)
-    if code == "vector.add":
-        return model.op_seconds("add", _VECTOR_LIMBS)
-    if code in ("vector.relu", "vector.nonlinear"):
-        return _NONLINEAR_PAIRS * (
-            model.op_seconds("mul", _VECTOR_LIMBS)
-            + model.op_seconds("relin", _VECTOR_LIMBS)
-        )
-    return 0.0
-
-
-def vector_function_cost(fn, model, jobs: int = 1) -> float:
-    """Modeled seconds for a VECTOR-IR function under ``jobs`` lanes.
-
-    Two components, multiplied:
-
-    * the *hoisted sequential* cost: rolls sharing a source ciphertext
-      are priced as one hoisted batch
-      (:meth:`CostModel.hoisted_rotation_seconds`), everything else
-      per-op;
-    * the *schedule factor*: LPT-greedy makespan over the wavefront
-      stages at ``min(jobs, width)`` lanes, divided by total work — 1.0
-      at one job, smaller for wide schedules on parallel hosts.
-    """
-    roll_groups: dict[int, int] = {}
-    serial = 0.0
-    for op in fn.body:
-        if op.opcode == "vector.roll":
-            src = op.operands[0].id
-            roll_groups[src] = roll_groups.get(src, 0) + 1
-        else:
-            serial += _op_seconds(op, model)
-    for count in roll_groups.values():
-        serial += model.hoisted_rotation_seconds(_VECTOR_LIMBS, count)
-    if jobs <= 1:
-        return serial
-    schedule = compute_schedule(fn)
-    total = 0.0
-    makespan = 0.0
-    for stage in schedule.stages:
-        weights = sorted(
-            (_op_seconds(fn.body[i], model) for i in stage), reverse=True
-        )
-        total += sum(weights)
-        lanes = [0.0] * max(1, min(jobs, len(weights)))
-        for w in weights:
-            lanes[lanes.index(min(lanes))] += w
-        makespan += max(lanes)
-    if total <= 0.0:
-        return serial
-    return serial * (makespan / total)
 
 
 def _const_shape(op_value, module) -> tuple[int, ...] | None:
@@ -206,11 +128,11 @@ def plan_cost(nn_module, plan, slots: int, options, model,
             make_opt_pass("vector", options.opt_level)(candidate, context)
     except LoweringError:
         return float("inf")
-    return vector_function_cost(candidate.main(), model, jobs)
+    return model.function_cost(candidate.main(), jobs)
 
 
 def search_plan(nn_module, slots: int, options, model,
-                jobs: int | None = None, max_sweeps: int = 2,
+                jobs: int = 1, max_sweeps: int = 2,
                 max_evals: int = 96) -> TuneResult:
     """Greedy coordinate descent over the per-layer candidates.
 
@@ -221,7 +143,6 @@ def search_plan(nn_module, slots: int, options, model,
     ``max_evals`` bounds the candidate lowerings for very deep models;
     hitting it is recorded in the result info, never silent.
     """
-    jobs = resolve_jobs(jobs)
     candidates = enumerate_choices(
         nn_module, slots, options.batch_size, options.gemm_strategy
     )

@@ -20,7 +20,7 @@ global bootstrap placement and CHET's whole-program costed planning):
   levels forward, and proposes per-hint overrides: *skip* a refresh
   whose remaining budget now covers its region, or *retarget* it to the
   measured minimal need.  Every proposal is gated by the
-  :class:`~repro.passes.opt.OpCostTable` (a skipped refresh must pay for
+  :class:`~repro.passes.cost.CostModel` (a skipped refresh must pay for
   the deeper — hence wider — region ops it leaves behind).
 * :func:`run_level_replan` — the driver hook: re-lowers the preserved
   SIHE module under the proposed plan, re-optimizes, and repeats to a
@@ -54,7 +54,9 @@ from repro.ir.core import Function, Module, Op, Value
 from repro.ir.registry import OPS
 from repro.ir.types import Cipher3Type, CipherType
 from repro.ir.verifier import verify_module
-from repro.passes.opt import OpCostTable, bootstrap_count, cse_function
+from repro.passes.cost import CostModel
+from repro.passes.lowering.sihe_to_ckks import SiheToCkksLowering
+from repro.passes.opt import bootstrap_count, cse_function, optimize_module
 
 _CIPHERISH = (CipherType, Cipher3Type)
 
@@ -171,7 +173,7 @@ def consumed_need(fn: Function,
     return need
 
 
-def plan_bootstraps(fn: Function, table: OpCostTable, max_level: int,
+def plan_bootstraps(fn: Function, table: CostModel, max_level: int,
                     margin: int = 0,
                     moduli: list[float] | None = None,
                     ) -> tuple[dict[int, dict], list[dict]]:
@@ -272,7 +274,7 @@ def _region_map(fn: Function) -> dict[int, list[Op]]:
     return region_ops
 
 
-def _skip_pays(table: OpCostTable, boot: Op, ops: list[Op],
+def _skip_pays(table: CostModel, boot: Op, ops: list[Op],
                want: int, deeper: int) -> bool:
     """Does deleting this refresh beat retargeting it to ``want``?
 
@@ -282,7 +284,7 @@ def _skip_pays(table: OpCostTable, boot: Op, ops: list[Op],
     region rooted at the same hint — a proxy for the op mix that will
     ride on the preserved budget.
     """
-    saved = table.model.op_seconds("bootstrap", want + 1)
+    saved = table.op_seconds("bootstrap", want + 1)
     extra = 0.0
     if deeper > 0:
         for op in ops:
@@ -348,7 +350,7 @@ def _global_relin_placement(fn: Function) -> int:
     return inserted
 
 
-def replan_relins(fn: Function, table: OpCostTable) -> dict:
+def replan_relins(fn: Function, table: CostModel) -> dict:
     """Whole-DAG relin placement, adopted only when the cost model says
     it beats the current (peephole-placed) program.  Returns a stats row
     and, when adopted, rewrites ``fn`` in place."""
@@ -390,18 +392,21 @@ def _relax(plan: dict[int, dict], step: int) -> dict[int, dict]:
     return relaxed
 
 
-def _lower_candidate(sihe_module: Module, plan: dict[int, dict],
-                     moduli: list[float], scale: float,
-                     bootstrap_enabled: bool,
-                     minimal_level_bootstrap: bool,
+def lower_sihe_clone(sihe_module: Module, moduli: list[float], scale: float,
+                     options, hint_plan: dict[int, dict] | None = None,
                      align_margin: int | None = None) -> tuple[Module, dict]:
-    from repro.passes.lowering.sihe_to_ckks import SiheToCkksLowering
+    """Lower a *copy* of the SIHE module to CKKS; ``(module, context)``.
 
+    The one way a candidate CKKS program is built — by the driver's
+    align-margin ladder and by each replanning round — so a lowering
+    that raises ``LoweringError`` leaves the SIHE module untouched.
+    """
     candidate = clone_module(sihe_module)
     ctx: dict = {}
     SiheToCkksLowering(
-        moduli, scale, bootstrap_enabled, minimal_level_bootstrap,
-        hint_plan=plan, align_margin=align_margin,
+        moduli, scale, options.bootstrap_enabled,
+        options.minimal_level_bootstrap,
+        hint_plan=hint_plan, align_margin=align_margin,
     ).run(candidate, ctx)
     return candidate, ctx
 
@@ -417,9 +422,7 @@ def run_level_replan(module: Module, sihe_module: Module,
     exact against the real modulus chain).  Returns the stats dict also
     stored as ``context["levels_stats"]``.
     """
-    from repro.passes.opt import optimize_module
-
-    table = OpCostTable(cost_model)
+    table = cost_model or CostModel()
     max_level = len(moduli) - 1
     # a uniform chain (the synthetic SimBackend moduli) is shift
     # invariant; real prime chains get one level of slack because moving
@@ -447,10 +450,8 @@ def run_level_replan(module: Module, sihe_module: Module,
             if not attempt:
                 break
             try:
-                candidate, cand_ctx = _lower_candidate(
-                    sihe_module, attempt, moduli, scale,
-                    options.bootstrap_enabled,
-                    options.minimal_level_bootstrap,
+                candidate, cand_ctx = lower_sihe_clone(
+                    sihe_module, moduli, scale, options, attempt,
                     align_margin=context.get("align_margin"),
                 )
             except LoweringError:

@@ -27,8 +27,8 @@ semantics:
   differential-fuzz oracle) and equivalent up to key-switch/rounding
   noise on the exact backend.
 
-Every rewrite is gated by a per-op cost table derived from
-:class:`repro.evalharness.costmodel.CostModel` and fires only when the
+Every rewrite is gated by the per-op costs of
+:class:`repro.passes.cost.CostModel` and fires only when the
 estimated saving is positive; the IR verifier re-checks the module after
 each pass (the driver's ``PassManager`` default).  Per-pass op deltas are
 appended to ``context["opt_stats"]`` and surface as
@@ -43,7 +43,6 @@ from functools import partial
 
 import numpy as np
 
-from repro.evalharness.costmodel import CostModel
 from repro.ir.core import Function, Module, Op, Value
 from repro.ir.rewrite import Rewrite, RewriteTally, UseIndex, apply_patterns
 from repro.ir.types import Cipher3Type, CipherType, PlainType
@@ -53,6 +52,7 @@ from repro.passes.common import (
     dce_function,
     _attr_key,
 )
+from repro.passes.cost import CostModel
 
 #: opcodes that perform a key switch — the headline cost metric.
 #: ``vector.roll`` is cleartext at its own level but lowers 1:1 to a
@@ -75,91 +75,6 @@ _SCALE_RTOL = 1e-6
 #: ("region" labels the Figure-6 breakdown, "hint" the originating
 #: bootstrap-hint index, "role" marks lowering-internal helper ops)
 _DIAGNOSTIC_ATTRS = ("region", "hint", "role")
-
-
-# ---------------------------------------------------------------------------
-# cost table
-# ---------------------------------------------------------------------------
-
-_COST_KIND = {
-    "ckks.add": "add", "ckks.sub": "sub", "ckks.neg": "negate",
-    "ckks.relin": "relin", "ckks.rotate": "rotate",
-    "ckks.conjugate": "conjugate", "ckks.rescale": "rescale",
-    "ckks.modswitch": "modswitch", "ckks.upscale": "upscale",
-    "ckks.bootstrap": "bootstrap", "ckks.encode": "encode",
-    "sihe.add": "add", "sihe.sub": "sub", "sihe.neg": "negate",
-    "sihe.rotate": "rotate", "sihe.mul": "mul",
-    "vector.roll": "rotate",
-}
-
-
-class OpCostTable:
-    """Per-op estimated seconds, limb-aware when ``Value.meta`` carries
-    the planned level (limbs = level + 1); falls back to a fixed limb
-    count for hand-built IR without scale-management metadata."""
-
-    def __init__(self, model: CostModel | None = None,
-                 default_limbs: int = 8):
-        self.model = model or CostModel(poly_degree=8192)
-        self.default_limbs = default_limbs
-
-    def limbs_of(self, value: Value) -> int:
-        level = value.meta.get("level") if value.meta else None
-        return (level + 1) if level is not None else self.default_limbs
-
-    def op_cost(self, op: Op, limb_shift: int = 0) -> float:
-        """Estimated seconds for one op; ``limb_shift`` prices the same
-        op as if it ran that many levels higher on the chain (the level
-        replanner uses this to cost keeping a region deep instead of
-        refreshing)."""
-        kind = _COST_KIND.get(op.opcode)
-        if kind is None:
-            return 0.0
-        if op.opcode == "ckks.mul":
-            kind = ("mul" if isinstance(op.operands[1].type,
-                                        (CipherType, Cipher3Type))
-                    else "mul_plain")
-        limbs = self.limbs_of(op.results[0]) if op.results \
-            else self.default_limbs
-        limbs = max(limbs + limb_shift, 1)
-        cost = self.model.op_seconds(kind, limbs)
-        if kind in ("add", "sub", "mul_plain", "negate") and any(
-                isinstance(o.type, Cipher3Type) for o in op.operands):
-            cost *= 1.5  # three polynomial parts instead of two
-        return cost
-
-    def key_switch_cost(self, limbs: int) -> float:
-        return self.model.op_seconds("relin", limbs)
-
-    def extra_part_cost(self, limbs: int) -> float:
-        """Added cost of carrying one extra ciphertext part through an
-        element-wise op (the price of deferring a relinearisation)."""
-        return self.model.op_seconds("mul_plain", limbs) * 0.5
-
-    def function_cost(self, fn: Function) -> float:
-        """Modeled seconds for the whole function, hoisting-aware.
-
-        Rotations sharing one source ciphertext are costed as a batch at
-        a single shared digit decomposition — per-rotation pricing
-        over-penalised BSGS regions and skewed every cost gate that
-        compares rotation-heavy candidates.  This is a pricing
-        convention, not what executes today: no compiled program
-        reaches ``ExactBackend.rotate_hoisted``, so every ``ckks.rotate``
-        still pays its own decomposition (ROADMAP, "Hoisted rotations in
-        the compiled path").
-        """
-        total = 0.0
-        rotation_batches: dict[int, list[Op]] = {}
-        for op in fn.body:
-            if op.opcode == "ckks.rotate":
-                rotation_batches.setdefault(
-                    op.operands[0].id, []).append(op)
-            else:
-                total += self.op_cost(op)
-        for batch in rotation_batches.values():
-            limbs = self.limbs_of(batch[0].results[0])
-            total += self.model.hoisted_rotation_seconds(limbs, len(batch))
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +254,7 @@ def compose_modswitches(fn: Function,
 # level-2 rewrites (equivalent up to noise path)
 # ---------------------------------------------------------------------------
 
-def _match_rotation_pair(table: OpCostTable, op: Op, index: UseIndex):
+def _match_rotation_pair(table: CostModel, op: Op, index: UseIndex):
     inner = op.operands[0].producer
     if (inner is None or inner.opcode != op.opcode
             or index.count(inner.result) != 1):
@@ -356,7 +271,7 @@ def _match_rotation_pair(table: OpCostTable, op: Op, index: UseIndex):
                    result, [op, inner])
 
 
-def compose_rotations(fn: Function, table: OpCostTable,
+def compose_rotations(fn: Function, table: CostModel,
                       tally: RewriteTally | None = None) -> int:
     """``rotate(rotate(x, a), b) -> rotate(x, a+b)`` for single-use inner
     rotations — one key switch instead of two.  The composed step's
@@ -388,7 +303,7 @@ def _is_defer_candidate(value: Value, index: UseIndex) -> bool:
             and _single_use_relin(producer.operands[0], index) is not None)
 
 
-def _defer_pays(index: UseIndex, op: Op, table: OpCostTable) -> bool:
+def _defer_pays(index: UseIndex, op: Op, table: CostModel) -> bool:
     """Sinking a relin below a plain-multiply costs one extra ciphertext
     part; it pays only when a downstream add can then merge two relins
     into one key switch.  Checks both the enabling structure and the
@@ -418,7 +333,7 @@ def _relin_of(op: Op, operand: Value, name: str, meta: dict) -> tuple:
                    {"region": op.attrs.get("region")})
 
 
-def _match_lazy_relin(table: OpCostTable, op: Op, index: UseIndex):
+def _match_lazy_relin(table: CostModel, op: Op, index: UseIndex):
     """Patterns R, B, A and C of :func:`lazy_relinearize`, rooted at the
     consuming rescale/modswitch, plain multiply or add/sub."""
     meta = op.result.meta
@@ -432,7 +347,7 @@ def _match_lazy_relin(table: OpCostTable, op: Op, index: UseIndex):
         gain = (table.key_switch_cost(limbs)
                 - table.key_switch_cost(max(limbs - 1, 1)))
         if op.opcode == "ckks.rescale":
-            gain -= table.model.op_seconds("rescale", limbs) * 0.5
+            gain -= table.op_seconds("rescale", limbs) * 0.5
         if gain <= 0:
             return None
         u = relin.operands[0]
@@ -489,7 +404,7 @@ def _match_lazy_relin(table: OpCostTable, op: Op, index: UseIndex):
                    out, [op, relin, inner, inner_relin])
 
 
-def lazy_relinearize(fn: Function, table: OpCostTable,
+def lazy_relinearize(fn: Function, table: CostModel,
                      tally: RewriteTally | None = None) -> int:
     """Defer relinearisations past additions and plaintext multiplies.
 
@@ -592,7 +507,7 @@ def relinearize_for_legality(fn: Function) -> int:
     return inserted
 
 
-def _match_rescale_pair(table: OpCostTable, op: Op, index: UseIndex):
+def _match_rescale_pair(table: CostModel, op: Op, index: UseIndex):
     producers = [operand.producer for operand in op.operands]
     if any(p is None or p.opcode != "ckks.rescale" for p in producers):
         return None
@@ -608,9 +523,9 @@ def _match_rescale_pair(table: OpCostTable, op: Op, index: UseIndex):
             su, sv, rel_tol=_SCALE_RTOL):
         return None
     limbs = table.limbs_of(u)
-    add_delta = (table.model.op_seconds("add", limbs)
-                 - table.model.op_seconds("add", max(limbs - 1, 1)))
-    if table.model.op_seconds("rescale", limbs) <= add_delta:
+    add_delta = (table.op_seconds("add", limbs)
+                 - table.op_seconds("add", max(limbs - 1, 1)))
+    if table.op_seconds("rescale", limbs) <= add_delta:
         return None  # saved rescale would not pay for the wider add
     if type(u.type) is not type(v.type):
         return None
@@ -622,7 +537,7 @@ def _match_rescale_pair(table: OpCostTable, op: Op, index: UseIndex):
                    out, [op, *producers])
 
 
-def sink_rescales(fn: Function, table: OpCostTable,
+def sink_rescales(fn: Function, table: CostModel,
                   tally: RewriteTally | None = None) -> int:
     """``add/sub(rescale(u), rescale(v)) -> rescale(add/sub(u, v))``.
 
@@ -647,7 +562,7 @@ PATTERNS = {
 }
 
 
-def _apply(name: str, fn: Function, table: OpCostTable | None,
+def _apply(name: str, fn: Function, table: CostModel | None,
            tally: RewriteTally | None) -> int:
     roots, match = PATTERNS[name]
     return apply_patterns(fn, roots, partial(match, table), name, tally)
@@ -672,7 +587,7 @@ def optimize_module(module: Module, stage: str, opt_level: int,
     ``context["opt_stats"]`` for the driver to surface as
     ``program.stats["opt"]``.
     """
-    table = OpCostTable(cost_model)
+    table = cost_model or CostModel()
     tally = RewriteTally()
     rows: list[dict] = []
     before = None  # each pass's "after" scan is the next one's "before"

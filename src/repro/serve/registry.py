@@ -235,7 +235,7 @@ class ModelRegistry:
                 blob must already contain the program's rotation steps
                 *and* the slot-batching steps.
             layout_tune: layout/BSGS autotuning mode for the compile
-                (``off``/``heuristic``/``search``); None keeps the
+                (``heuristic``/``search``); None keeps the
                 options' own setting.  ``search`` spends extra compile
                 time once at registration and serves the tuned program
                 (rotation keys are re-derived after tuning, so the

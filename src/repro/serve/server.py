@@ -177,6 +177,12 @@ class InferenceServer:
 
     def stop(self) -> None:
         self._stopping.set()
+        # closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down first does
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # platforms that refuse shutdown on a listening socket
         try:
             self._sock.close()
         except OSError:

@@ -5,8 +5,10 @@ import pytest
 
 from repro.backend.interface import SchemeConfig
 from repro.backend.trace import OpTrace
-from repro.evalharness.costmodel import CostModel
 from repro.evalharness.memmodel import MemoryModel
+from repro.ir.core import Function, Op, Value
+from repro.ir.types import CipherType, VectorType
+from repro.passes.cost import CostModel
 
 
 @pytest.fixture
@@ -61,6 +63,59 @@ def test_costmodel_calibration_runs():
     cm = CostModel.calibrated(poly_degree=1 << 14, sample_degree=512)
     assert cm.c_ntt > 0
     assert cm.c_eltwise > 0
+
+
+def _op(opcode, operands, type_, level=None, **attrs):
+    result = Value(type_, "")
+    if level is not None:
+        result.meta = {"level": level}
+    return Op(opcode, operands, [result], attrs)
+
+
+def test_function_cost_vector_hand_computed():
+    # 3 rolls of one source + mul + add, no level metadata: one hoisted
+    # batch of 3 at the default 8 limbs, the rest per op
+    cm = CostModel(poly_degree=1 << 12)
+    vec = VectorType(16)
+    fn = Function("main", [Value(vec, "x")])
+    x = fn.params[0]
+    rolls = [_op("vector.roll", [x], vec, steps=s) for s in (1, 2, 3)]
+    mul = _op("vector.mul", [rolls[0].result, rolls[1].result], vec)
+    add = _op("vector.add", [mul.result, rolls[2].result], vec)
+    for op in (*rolls, mul, add):
+        fn.append(op)
+    fn.returns = [add.result]
+    assert cm.function_cost(fn) == pytest.approx(
+        cm.hoisted_rotation_seconds(8, 3)
+        + cm.op_seconds("mul_plain", 8) + cm.op_seconds("add", 8),
+        rel=1e-12)
+    # wider schedules only ever discount the sequential price
+    assert 0 < cm.function_cost(fn, jobs=4) <= cm.function_cost(fn)
+
+
+def test_function_cost_ckks_reads_level_metadata():
+    # limbs = planned level + 1; rotations batch per *source*
+    cm = CostModel(poly_degree=1 << 12)
+    ct = CipherType(16)
+    fn = Function("main", [Value(ct, "x")])
+    x = fn.params[0]
+    r1 = _op("ckks.rotate", [x], ct, level=5, steps=1)
+    r2 = _op("ckks.rotate", [x], ct, level=5, steps=2)
+    add = _op("ckks.add", [r1.result, r2.result], ct, level=5)
+    r3 = _op("ckks.rotate", [add.result], ct, level=5, steps=4)
+    rescale = _op("ckks.rescale", [r3.result], ct, level=4)
+    boot = _op("ckks.bootstrap", [rescale.result], ct, level=9,
+               target_level=9)
+    for op in (r1, r2, add, r3, rescale, boot):
+        fn.append(op)
+    fn.returns = [boot.result]
+    assert cm.function_cost(fn) == pytest.approx(
+        cm.op_seconds("add", 6) + cm.op_seconds("rescale", 5)
+        + cm.op_seconds("bootstrap", 10)
+        + cm.hoisted_rotation_seconds(6, 2) + cm.op_seconds("rotate", 6),
+        rel=1e-12)
+    # limb_shift prices the same op higher on the chain
+    assert cm.op_cost(add, limb_shift=3) == cm.op_seconds("add", 9)
 
 
 def test_memmodel_key_sizes(scheme):

@@ -163,23 +163,10 @@ def test_search_mode_improves_predicted_cost():
     assert layout["adopted"] is True
     assert layout["predicted_seconds"] > 0
     assert layout["schedule_max_width"] >= 1
-    # the final-cost guard priced both lowered programs and kept the win
+    # both lowered programs were priced on final CKKS IR; the win stayed
     final = layout["predicted_final_seconds"]
     assert final["chosen"] <= final["heuristic"]
-    assert "reverted_by_final_cost" not in layout
-
-
-def test_off_and_heuristic_bit_identical():
-    model = _gemm_model(48, 48)
-    x = np.random.default_rng(4).normal(size=(1, 48)) * 0.5
-    outs = {}
-    for mode in ("off", "heuristic"):
-        program = ACECompiler(model, CompileOptions(
-            poly_mode="off", slots=256, layout_tune=mode)).compile()
-        backend = program.make_sim_backend(seed=5)  # with injected noise:
-        # identical bits require identical op structure, not just values
-        outs[mode] = program.run(backend, x, check_plan=False)[0]
-    assert np.array_equal(outs["off"], outs["heuristic"])
+    assert final["chosen"] == layout["predicted_seconds"]
 
 
 def test_heuristic_mode_records_stats_without_plan():
@@ -199,28 +186,29 @@ def test_heuristic_mode_records_stats_without_plan():
 def test_unknown_layout_tune_mode_rejected():
     from repro.errors import CompileError
 
-    with pytest.raises(CompileError):
-        ACECompiler(_gemm_model(8, 8), CompileOptions(
-            poly_mode="off", slots=64, layout_tune="fancy")).compile()
+    for mode in ("fancy", "off"):
+        with pytest.raises(CompileError):
+            ACECompiler(_gemm_model(8, 8), CompileOptions(
+                poly_mode="off", slots=64, layout_tune=mode)).compile()
 
 
 def test_calibration_memoised_and_copy_private():
-    from repro.evalharness import costmodel
+    from repro.passes import cost
 
-    costmodel._calibration_memo.clear()
-    a = costmodel.CostModel.calibrated(512, 1, sample_degree=64)
-    assert len(costmodel._calibration_memo) == 1
-    b = costmodel.CostModel.calibrated(512, 1, sample_degree=64)
-    assert len(costmodel._calibration_memo) == 1
+    cost._calibration_memo.clear()
+    a = cost.CostModel.calibrated(512, 1, sample_degree=64)
+    assert len(cost._calibration_memo) == 1
+    b = cost.CostModel.calibrated(512, 1, sample_degree=64)
+    assert len(cost._calibration_memo) == 1
     assert a is not b and a == b
     a.c_ntt = 123.0  # mutating a caller copy must not poison the memo
-    c = costmodel.CostModel.calibrated(512, 1, sample_degree=64)
+    c = cost.CostModel.calibrated(512, 1, sample_degree=64)
     assert c.c_ntt != 123.0
 
 
 def test_search_plan_respects_eval_budget():
     nn = _fused(_gemm_model(48, 48))
-    from repro.evalharness.costmodel import CostModel
+    from repro.passes.cost import CostModel
 
     model = CostModel(poly_degree=512)
     options = CompileOptions(poly_mode="off", slots=256)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from repro.compiler import ACECompiler, CompileOptions
-from repro.evalharness.costmodel import CostModel
 from repro.ir.core import Function, Op, Value
 from repro.ir.types import Cipher3Type, CipherType
 from repro.nn import model_to_onnx, resnet_mini
 from repro.onnx import load_model_bytes, model_to_bytes
+from repro.passes.cost import CostModel
 from repro.passes.levels import (
     _global_relin_placement,
     _skip_pays,
@@ -26,7 +26,6 @@ from repro.passes.levels import (
     replan_relins,
     summarize_levels_stats,
 )
-from repro.passes.opt import OpCostTable
 from repro.polymath import kernels
 
 DELTA = 2.0 ** 56
@@ -71,7 +70,7 @@ def _boot(fn, v, target, hint=0):
 
 
 def _table():
-    return OpCostTable(CostModel(poly_degree=2 * SLOTS))
+    return CostModel(poly_degree=2 * SLOTS)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ class TestPlanBootstraps:
     def test_skip_gate_refuses_rotation_heavy_region(self):
         # keeping hundreds of rotations 18 levels deeper costs more than
         # the refresh it would delete; an empty region always pays
-        table = OpCostTable(CostModel(poly_degree=2 ** 14))
+        table = CostModel(poly_degree=2 ** 14)
         fn, x = _make_fn(20)
         _boot(fn, x, target=2)
         boot_op = fn.body[0]

@@ -31,8 +31,8 @@ from repro.ir import (
 from repro.ir.core import Op, Value
 from repro.nn import model_to_onnx, resnet_mini
 from repro.onnx import OnnxGraphBuilder, load_model_bytes, model_to_bytes
+from repro.passes.cost import CostModel
 from repro.passes.opt import (
-    OpCostTable,
     compose_modswitches,
     compose_rotations,
     cse_function,
@@ -44,7 +44,7 @@ from repro.passes.opt import (
     sink_rescales,
 )
 
-TABLE = OpCostTable()
+TABLE = CostModel()
 
 
 def _ckks_fn(slots=8, params=2):

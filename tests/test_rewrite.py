@@ -35,9 +35,10 @@ from repro.ir.rewrite import Rewrite, RewriteTally, UseIndex, apply_patterns
 from repro.nn import model_to_onnx, resnet_mini
 from repro.onnx import load_model_bytes, model_to_bytes
 from repro.passes import opt
+from repro.passes.cost import CostModel
 from repro.passes.levels import clone_module
 
-TABLE = opt.OpCostTable()
+TABLE = CostModel()
 SLOTS = 8
 
 

@@ -295,3 +295,13 @@ def test_delayed_reply_still_correct(server):
     fired = _chaos_infer(srv, weights, chaos.SERVE_DELAY_REPLY,
                          (1.0, 2, 0.01))
     assert fired >= 1
+
+
+def test_stop_returns_without_sitting_out_the_accept_join():
+    # closing the listening socket alone leaves accept() blocked on
+    # Linux, and stop() then waited out its whole 5 s join timeout
+    srv = InferenceServer(ModelRegistry(), num_threads=1).start()
+    start = time.perf_counter()
+    srv.stop()
+    assert time.perf_counter() - start < 1.0
+    assert not srv._accept_thread.is_alive()
