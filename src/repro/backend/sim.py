@@ -220,12 +220,9 @@ class SimBackend(HEBackend):
 
     def decrypt(self, cipher, num_values=None):
         self._rec("decrypt", cipher.level)
-        vals = cipher.values
-        if cipher.size == 3:
-            vals = vals  # decryption handles Cipher3 transparently
         if num_values is None and cipher.slots_in_use:
             num_values = cipher.slots_in_use
-        out = np.real(vals)
+        out = np.real(cipher.values)  # Cipher3 decrypts like a Cipher
         return out[:num_values] if num_values is not None else out
 
     def encode(self, values, scale, level):

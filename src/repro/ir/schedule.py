@@ -13,7 +13,9 @@ from a :class:`~repro.ir.core.Function` body:
   ``k`` holds every op whose predecessors all sit in stages ``< k``) and
   folds in the interpreter's last-use liveness as per-value consumer
   refcounts, so a parallel executor can still drop dead ciphertexts the
-  moment their final consumer completes;
+  moment their final consumer completes, and marks the *static* ops —
+  those no function parameter reaches — whose results are the same on
+  every execution;
 * :func:`schedule_pass` exposes the analysis through the pass manager
   (level "Others": it is dialect-agnostic and runs on every IR level).
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.ir.core import Function
 from repro.ir.passmanager import Pass
+from repro.ir.types import CipherType
 
 
 @dataclass
@@ -49,6 +52,11 @@ class OpSchedule:
             (an op using a value twice counts once); the executor
             decrements this as consumers retire and frees the value at
             zero.  Returned values are excluded (never freed).
+        static: indices of ops that cannot depend on the function's
+            inputs: no operand is a parameter or the result of a
+            non-static op.  An op with a cipher-typed result is never
+            static.  In compiled programs this is the ``vector.*``
+            constant subgraph and the ``ckks.encode`` ops it feeds.
     """
 
     deps: list[tuple[int, ...]]
@@ -56,6 +64,7 @@ class OpSchedule:
     stages: list[list[int]]
     stage_of: list[int]
     consumers: dict[int, int] = field(default_factory=dict)
+    static: frozenset[int] = frozenset()
 
     @property
     def num_ops(self) -> int:
@@ -131,13 +140,22 @@ def compute_schedule(fn: Function) -> OpSchedule:
         stages[stage].append(index)
     keep = {v.id for v in fn.returns}
     consumers: dict[int, int] = {}
-    for op in fn.body:
-        for vid in {operand.id for operand in op.operands}:
+    dynamic = {p.id for p in fn.params}
+    static = set()
+    for index, op in enumerate(fn.body):
+        operand_ids = {operand.id for operand in op.operands}
+        for vid in operand_ids:
             if vid not in keep:
                 consumers[vid] = consumers.get(vid, 0) + 1
+        if operand_ids.isdisjoint(dynamic) and not any(
+                isinstance(r.type, CipherType) for r in op.results):
+            static.add(index)
+        else:
+            for result in op.results:
+                dynamic.add(result.id)
     return OpSchedule(
         deps=deps, users=users, stages=stages, stage_of=stage_of,
-        consumers=consumers,
+        consumers=consumers, static=frozenset(static),
     )
 
 

@@ -11,65 +11,23 @@ Op *issue* is delegated to :class:`repro.runtime.executor.ParallelExecutor`:
 the classic sequential walk is the ``jobs=1`` case of the same
 dependency-DAG scheduler, and ``jobs > 1`` dispatches independent ops
 (parallel residual branches, BSGS giant steps) onto a thread pool with
-bit-identical results.  This module keeps the per-op dispatch table
-(:func:`_eval`) and the plan check (:func:`_check`).
+bit-identical results; the executor also decides *which* ops a run
+issues (input-independent ones only once per backend).  This module
+keeps the per-op dispatch table (:func:`_eval`) and the plan check
+(:func:`_check`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import threading
-import weakref
 
 import numpy as np
 
 from repro.backend.interface import HEBackend
 from repro.errors import RuntimeBackendError
 from repro.ir.core import Function, Module
-from repro.ir.types import CipherType
+from repro.ir.types import CipherType, PlainType
 from repro.runtime.vector_interp import _eval as eval_vector_op
-
-#: per-backend plaintext-encode memo, keyed by (payload digest, dtype,
-#: shape, scale, level).  Constant payloads are encoded at whatever
-#: (scale, level) the compiled plan asks for; with the level replanner
-#: in the pipeline the same payload recurs across functions, batches and
-#: serve requests, and NTT-encoding it again is pure waste — plaintexts
-#: are immutable on every backend (``multiply_plain`` never writes its
-#: plaintext operand) and encoding is deterministic, so sharing the
-#: handle is bit-safe.  WeakKeyDictionary ties each cache's lifetime to
-#: its backend (dropping a backend drops its plaintexts); the lock keeps
-#: the parallel executor's worker threads consistent.
-_ENCODE_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_ENCODE_LOCK = threading.Lock()
-_ENCODE_CACHE_MAX = 4096  # entries per backend; cleared wholesale past this
-
-
-def _cached_encode(be: HEBackend, payload, scale, level):
-    if not isinstance(payload, np.ndarray):
-        return be.encode(payload, scale=scale, level=level)
-    key = (
-        hashlib.sha1(payload.tobytes()).digest(),
-        payload.dtype.str,
-        payload.shape,
-        float(scale),
-        int(level),
-    )
-    with _ENCODE_LOCK:
-        cache = _ENCODE_CACHES.get(be)
-        if cache is None:
-            cache = {}
-            _ENCODE_CACHES[be] = cache
-        hit = cache.get(key)
-    if hit is not None:
-        return hit
-    plaintext = be.encode(payload, scale=scale, level=level)
-    with _ENCODE_LOCK:
-        if len(cache) >= _ENCODE_CACHE_MAX:
-            cache.clear()
-        cache[key] = plaintext
-    return plaintext
-
 
 def prepare_env(fn: Function, backend: HEBackend, inputs: list) -> dict[int, object]:
     """Bind inputs to parameter value ids (encrypting cleartext ciphers).
@@ -152,7 +110,7 @@ def _eval(module: Module, op, args, be: HEBackend):
     if code == "ckks.conjugate":
         return be.conjugate(args[0])
     if code == "ckks.add":
-        if isinstance(args[1], np.ndarray) or _is_plain(op, 1):
+        if _is_plain(op, 1):
             return be.add_plain(args[0], args[1])
         return be.add(args[0], args[1])
     if code == "ckks.sub":
@@ -186,14 +144,12 @@ def _eval(module: Module, op, args, be: HEBackend):
                                 bsgs_giant=giant)
         return be.bootstrap(args[0], op.attrs.get("target_level"))
     if code == "ckks.encode":
-        return _cached_encode(be, args[0], op.attrs["scale"],
-                              op.attrs["level"])
+        return be.encode(args[0], scale=op.attrs["scale"],
+                         level=op.attrs["level"])
     if code == "ckks.decode":
         return args[0]
     raise RuntimeBackendError(f"CKKS interpreter: unsupported op {code}")
 
 
 def _is_plain(op, index: int) -> bool:
-    from repro.ir.types import PlainType
-
     return isinstance(op.operands[index].type, PlainType)

@@ -19,7 +19,11 @@ list through the :mod:`repro.ir.schedule` dependency DAG instead:
   sequential interpreter);
 * ``jobs=1`` executes the identical dispatch/liveness code in program
   order on the calling thread — the sequential interpreter is literally
-  the one-job case of this scheduler.
+  the one-job case of this scheduler;
+* ops no input reaches (``OpSchedule.static``: the weight constants and
+  their encodes) are issued by the first run on a backend only; a
+  :class:`ConstPool` keeps what the rest of the program reads of them
+  and every later run looks it up, at every job count.
 
 **Determinism contract**: backends must evaluate each op as a pure
 function of its arguments (both bundled backends do — see
@@ -169,8 +173,10 @@ class JobBudget:
 
 
 #: schedules are cheap but serve recomputes per request otherwise;
-#: keyed by Function (weak), invalidated when the body length changes
-_schedule_cache: "weakref.WeakKeyDictionary[Function, tuple[int, OpSchedule]]"
+#: keyed by Function (weak), valid while ``fn.body`` holds the same op
+#: objects in the same order and ``fn.returns`` the same values (``Op``
+#: and ``Value`` compare by identity, so the check is a pointer walk)
+_schedule_cache: "weakref.WeakKeyDictionary[Function, tuple[list, list, OpSchedule]]"
 _schedule_cache = weakref.WeakKeyDictionary()
 _schedule_cache_lock = threading.Lock()
 
@@ -179,12 +185,110 @@ def cached_schedule(fn: Function) -> OpSchedule:
     """Per-function memoised :func:`compute_schedule` (thread-safe)."""
     with _schedule_cache_lock:
         hit = _schedule_cache.get(fn)
-        if hit is not None and hit[0] == len(fn.body):
-            return hit[1]
+        if hit is not None and hit[0] == fn.body and hit[1] == fn.returns:
+            return hit[2]
     schedule = compute_schedule(fn)
     with _schedule_cache_lock:
-        _schedule_cache[fn] = (len(fn.body), schedule)
+        _schedule_cache[fn] = (list(fn.body), list(fn.returns), schedule)
     return schedule
+
+
+#: plaintexts one constant pool pins; static results past the bound are
+#: recomputed on every run like ordinary ops, so a pool never holds more
+#: than the program asks for or than this
+_ENCODE_CACHE_MAX = 4096
+
+
+class ConstPool:
+    """What one function's static ops produce on one backend.
+
+    ``schedule.static`` names the ops no input reaches.  The pool pins,
+    in program order, the first ``_ENCODE_CACHE_MAX`` of their results
+    that a non-static op or ``fn.returns`` reads (``pin``, filled into
+    ``values`` by the first run); ``skip`` is every static op a later
+    run therefore need not issue, and ``consumers`` the liveness
+    refcounts of the ops that remain.  Static results past the bound,
+    and the static ops feeding them, stay issued.
+
+    Valid while the run uses the schedule the pool was planned on
+    (:func:`cached_schedule` ties that to the identity of ``fn.body``)
+    and every constant name a skipped op read is bound to the same array.
+    """
+
+    def __init__(self, module: Module, fn: Function, schedule: OpSchedule):
+        body, static = fn.body, schedule.static
+        returned = {v.id for v in fn.returns}
+        boundary = [
+            i for i in sorted(static)
+            if body[i].results[0].id in returned
+            or any(u not in static for u in schedule.users[i])
+        ]
+        issued = set()
+        stack = boundary[_ENCODE_CACHE_MAX:]
+        while stack:
+            index = stack.pop()
+            if index not in issued:
+                issued.add(index)
+                stack.extend(schedule.deps[index])
+        self.schedule = schedule
+        self.skip = static - issued
+        self.pin = {body[i].results[0].id
+                    for i in boundary[:_ENCODE_CACHE_MAX] if i in self.skip}
+        self.values: dict[int, object] = {}
+        self.consumers: dict[int, int] = {}
+        for index, op in enumerate(body):
+            if index in self.skip:
+                continue
+            for vid in {operand.id for operand in op.operands}:
+                if vid not in returned and vid not in self.pin:
+                    self.consumers[vid] = self.consumers.get(vid, 0) + 1
+        self.constants = [
+            (name, module.constants.get(name))
+            for name in (body[i].attrs.get("const_name") for i in self.skip)
+            if name is not None
+        ]
+        #: set once a complete run has filled ``values``
+        self.published = False
+
+    def plan(self) -> tuple[frozenset[int], dict[int, int]]:
+        """(ops a run does not issue, its liveness refcounts): nothing
+        skipped on a first run, the steady view once published."""
+        if self.published:
+            return self.skip, dict(self.consumers)
+        return frozenset(), dict(self.schedule.consumers)
+
+    def valid_for(self, module: Module, schedule: OpSchedule) -> bool:
+        return schedule is self.schedule and all(
+            module.constants.get(name) is array
+            for name, array in self.constants
+        )
+
+
+#: backend (weak) -> function (weak) -> its published pool: dropping a
+#: backend or a function drops the plaintexts pinned for it
+_const_pools: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_const_pools_lock = threading.Lock()
+
+
+def const_pool(backend, module: Module, fn: Function,
+               schedule: OpSchedule) -> ConstPool:
+    """The valid published pool, else a fresh unpublished one to fill."""
+    with _const_pools_lock:
+        pool = _const_pools.get(backend, {}).get(fn)
+    if pool is not None and pool.valid_for(module, schedule):
+        return pool
+    return ConstPool(module, fn, schedule)
+
+
+def _publish(backend, module: Module, fn: Function, pool: ConstPool) -> None:
+    """Publish a pool a complete run filled (double-checked: of two
+    threads first-running one backend, the first to finish wins)."""
+    pool.published = True
+    with _const_pools_lock:
+        per_fn = _const_pools.setdefault(backend, weakref.WeakKeyDictionary())
+        held = per_fn.get(fn)
+        if held is None or not held.valid_for(module, pool.schedule):
+            per_fn[fn] = pool
 
 
 class ParallelExecutor:
@@ -238,18 +342,21 @@ class ParallelExecutor:
         env = prepare_env(fn, self.backend, inputs)
         if schedule is None:
             schedule = cached_schedule(fn)
+        pool = const_pool(self.backend, module, fn, schedule)
         granted = self.budget.acquire(self.jobs) if self.budget else self.jobs
         try:
             if granted == 1:
-                self._run_sequential(module, fn, env, schedule,
+                self._run_sequential(module, fn, env, pool,
                                      check_plan, region_tags)
             else:
-                self._run_parallel(module, fn, env, schedule,
+                self._run_parallel(module, fn, env, schedule, pool,
                                    check_plan, region_tags, granted)
         finally:
             if self.budget:
                 self.budget.release(granted)
-        return [env[v.id] for v in fn.returns]
+        if not pool.published:
+            _publish(self.backend, module, fn, pool)
+        return self._values(env, pool, fn.returns)
 
     # -- shared per-op machinery -------------------------------------------
 
@@ -270,10 +377,20 @@ class ParallelExecutor:
             _check(op, result, self.backend)
         return result
 
-    def _retire(self, fn, env, schedule, index, result, live) -> None:
+    @staticmethod
+    def _values(env, pool, values) -> list:
+        """Each value live in ``env``, else pooled (looked up, never
+        copied into ``env``: the memory budget sees only the live set)."""
+        pinned = pool.values
+        return [env[v.id] if v.id in env else pinned[v.id] for v in values]
+
+    def _retire(self, fn, env, pool, index, result, live) -> None:
         """Coordinator-side bookkeeping after op ``index`` completes."""
         op = fn.body[index]
-        env[op.results[0].id] = result
+        out = op.results[0].id
+        env[out] = result
+        if out in pool.pin:  # only a first run issues these
+            pool.values[out] = result
         for vid in {operand.id for operand in op.operands}:
             remaining = live.get(vid)
             if remaining is None:
@@ -335,45 +452,51 @@ class ParallelExecutor:
 
     # -- sequential (jobs=1) ------------------------------------------------
 
-    def _run_sequential(self, module, fn, env, schedule, check_plan,
+    def _run_sequential(self, module, fn, env, pool, check_plan,
                         region_tags) -> None:
-        live = dict(schedule.consumers)
+        skip, live = pool.plan()
         for index, op in enumerate(fn.body):
-            args = [env[o.id] for o in op.operands]
+            if index in skip:
+                continue
+            args = self._values(env, pool, op.operands)
             tag = self._tag_for(op, index, region_tags)
             result = self._issue(module, op, args, tag, check_plan)
-            self._retire(fn, env, schedule, index, result, live)
+            self._retire(fn, env, pool, index, result, live)
 
     # -- parallel -----------------------------------------------------------
 
-    def _run_parallel(self, module, fn, env, schedule, check_plan,
+    def _run_parallel(self, module, fn, env, schedule, pool, check_plan,
                       region_tags, jobs) -> None:
         body = fn.body
-        live = dict(schedule.consumers)
-        remaining_deps = [len(d) for d in schedule.deps]
+        skip, live = pool.plan()
+        # a skipped op counts as already complete: it is no one's pending
+        # dependency and is never woken
+        remaining_deps = [sum(p not in skip for p in d)
+                          for d in schedule.deps]
         # within-wavefront dispatch follows program order (ready is seeded
         # and extended in index order), which keeps trace interleaving and
         # completion scanning deterministic-ish; results are order-free
-        ready = [i for i, d in enumerate(remaining_deps) if d == 0]
+        ready = [i for i, d in enumerate(remaining_deps)
+                 if d == 0 and i not in skip]
         submitted = 0
         completed = 0
         # manual pool lifecycle (no ``with``): when the watchdog fires,
         # the stalled worker threads must be *abandoned*, not joined —
         # a ``with`` exit would block on them forever
-        pool = ThreadPoolExecutor(max_workers=jobs,
-                                  thread_name_prefix="repro-exec")
+        workers = ThreadPoolExecutor(max_workers=jobs,
+                                     thread_name_prefix="repro-exec")
         pending = {}
         wait_on_exit = True
         try:
-            while completed < len(body):
+            while completed < len(body) - len(skip):
                 while ready:
                     if not self._may_dispatch(env, len(pending)):
                         break  # memory budget: leftover ready ops wait
                     index = ready.pop(0)
                     op = body[index]
-                    args = [env[o.id] for o in op.operands]
+                    args = self._values(env, pool, op.operands)
                     tag = self._tag_for(op, index, region_tags)
-                    future = pool.submit(
+                    future = workers.submit(
                         self._issue, module, op, args, tag, check_plan
                     )
                     pending[future] = index
@@ -395,11 +518,11 @@ class ParallelExecutor:
                 for future in done:
                     index = pending.pop(future)
                     result = future.result()  # re-raises op errors
-                    self._retire(fn, env, schedule, index, result, live)
+                    self._retire(fn, env, pool, index, result, live)
                     completed += 1
                     for user in schedule.users[index]:
                         remaining_deps[user] -= 1
-                        if remaining_deps[user] == 0:
+                        if remaining_deps[user] == 0 and user not in skip:
                             ready.append(user)
                     ready.sort()
         except BaseException:
@@ -407,4 +530,4 @@ class ParallelExecutor:
                 future.cancel()
             raise
         finally:
-            pool.shutdown(wait=wait_on_exit, cancel_futures=True)
+            workers.shutdown(wait=wait_on_exit, cancel_futures=True)
