@@ -164,8 +164,7 @@ def bench(clients_per_model, requests_per_client):
         "single_rps": n / single_s,
     }
 
-    with RouterServer(num_shards=2, dispatch_threads=4, shard_workers=2,
-                      pool_size=2) as router:
+    with RouterServer(num_shards=2, shard_workers=2, pool_size=2) as router:
         for name, model in models.items():
             router.add_model(name, model_to_bytes(model), params=params,
                              max_batch=4, seed=SEEDS[name])

@@ -343,21 +343,7 @@ def _serve(args) -> int:
     _install_chaos(args)
     _install_kernel(args)
     registry = ModelRegistry()
-    if args.shard:
-        # shard mode: an empty server whose models (and secret-free
-        # evaluation keys) are pushed over the wire by a router
-        server = ShardServer(
-            registry, host=args.host, port=args.port,
-            num_threads=args.workers, queue_size=args.queue_size,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            request_timeout_s=args.timeout_s,
-            exec_jobs=args.jobs,
-            shed_policy=args.shed_policy,
-            shed_target_p95_s=args.shed_target_p95_s,
-        )
-        print(f"shard ready on {server.host}:{server.port} "
-              "(models arrive via register_model)")
-    else:
+    if not args.shard:
         if not args.model:
             print("error: a model path is required unless --shard is given",
                   file=sys.stderr)
@@ -369,15 +355,22 @@ def _serve(args) -> int:
             repack=args.repack, align_levels=args.align_levels,
             layout_tune=args.layout_tune,
         )
-        server = InferenceServer(
-            registry, host=args.host, port=args.port,
-            num_threads=args.workers, queue_size=args.queue_size,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            request_timeout_s=args.timeout_s,
-            exec_jobs=args.jobs,
-            shed_policy=args.shed_policy,
-            shed_target_p95_s=args.shed_target_p95_s,
-        )
+    # shard mode: an empty server whose models (and secret-free
+    # evaluation keys) are pushed over the wire by a router
+    server_cls = ShardServer if args.shard else InferenceServer
+    server = server_cls(
+        registry, host=args.host, port=args.port,
+        num_threads=args.workers, queue_size=args.queue_size,
+        max_wait_s=args.max_wait_ms / 1000.0,
+        request_timeout_s=args.timeout_s,
+        exec_jobs=args.jobs,
+        shed_policy=args.shed_policy,
+        shed_target_p95_s=args.shed_target_p95_s,
+    )
+    if args.shard:
+        print(f"shard ready on {server.host}:{server.port} "
+              "(models arrive via register_model)")
+    else:
         print(f"serving model {model_id!r} on {server.host}:{server.port} "
               f"(fingerprint {entry.fingerprint}, "
               f"batch up to {entry.max_batch} requests/ciphertext)")
@@ -401,13 +394,13 @@ def _router(args) -> int:
         num_shards=args.shards,
         host=args.host, port=args.port,
         key_budget=args.key_budget,
-        dispatch_threads=args.dispatch_threads,
         request_timeout_s=args.timeout_s,
         shard_workers=args.workers,
         shard_jobs=args.jobs,
         shard_mem_budget=args.mem_budget,
         shard_kernel=args.kernel,
         shard_shed_policy=args.shed_policy,
+        shard_shed_target_p95_s=args.shed_target_p95_s,
     )
     try:
         for index, path in enumerate(args.models):
@@ -563,7 +556,6 @@ def main(argv=None) -> int:
     p_router.add_argument("--batch-size", type=int, default=4)
     p_router.add_argument("--workers", type=int, default=2,
                           help="worker threads per shard")
-    p_router.add_argument("--dispatch-threads", type=int, default=8)
     p_router.add_argument("--timeout-s", type=float, default=60.0)
     p_router.add_argument("--seed", type=int, default=7,
                           help="keygen seed for the first model; model i "

@@ -20,12 +20,15 @@ serving subsystem:
   guard);
 * :mod:`repro.serve.retry` — client-side capped exponential backoff;
 * :mod:`repro.serve.metrics` — request/batch/latency/byte accounting;
-* :mod:`repro.serve.server` — length-prefixed socket protocol plus the
-  ``repro serve`` / ``repro client`` CLI entry points' machinery;
-* :mod:`repro.serve.router` — scale-out front-end: a selectors event
-  loop holding many idle connections cheaply, routing requests to N
-  shard *processes* with key-memory-aware placement, LRU key eviction
-  and cross-process failure containment (``repro router``);
+* :mod:`repro.serve.transport` — the one wire front-end: the
+  length-prefixed frame codec, the listening socket and per-connection
+  request loop, and the exception-to-failure-header shell that all
+  three servers share;
+* :mod:`repro.serve.server` — what an inference server answers on that
+  front-end, plus the ``repro client`` side of the protocol;
+* :mod:`repro.serve.router` — scale-out: placement + forwarding of
+  requests to N shard *processes* with key-memory-aware placement, LRU
+  key eviction and cross-process failure containment (``repro router``);
 * :mod:`repro.serve.shard` — the shard process: a full server whose
   models and (secret-free) evaluation keys arrive over the wire;
 * :mod:`repro.serve.placement` — the Figure-7 key-byte cost model

@@ -73,7 +73,7 @@ class KeyMemoryPlacement:
                        if p.shard == shard)
 
     def snapshot(self) -> dict:
-        """Per-shard residency summary (metrics, shard_info)."""
+        """Per-shard residency summary (the router's ``metrics`` op)."""
         with self._lock:
             shards = {}
             for index in range(self.num_shards):

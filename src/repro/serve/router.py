@@ -1,15 +1,15 @@
-"""Scale-out serving: async front-end router + model-shard processes.
+"""Scale-out serving: a routing front-end + model-shard processes.
 
 One Python process can only push one GIL's worth of NTT kernels; the
 ROADMAP's "serve heavy traffic" goal needs more.  This module scales the
 Figure-2 server *out* instead of up:
 
-* an **async front-end** (:class:`RouterServer`) holds any number of
-  idle client connections on one ``selectors`` event loop — an idle
-  connection costs a buffer, not a thread — speaking the existing
-  length-prefixed protocol *unchanged*, so every existing client
-  (``ServeClient``, ``RemoteModelClient``, ``repro client``) works
-  against a router verbatim;
+* the **front-end** (:class:`RouterServer`) is the same
+  :class:`~repro.serve.transport.FrameServer` every server is — one
+  thread per client connection, the length-prefixed protocol
+  *unchanged* — so every existing client (``ServeClient``,
+  ``RemoteModelClient``, ``repro client``) works against a router
+  verbatim; what this module adds is placement and forwarding only;
 * N **shard processes** (:class:`~repro.serve.shard.ShardServer`
   subprocesses, spawned as ``repro serve --shard``) each run the full
   registry/worker/batcher/breaker stack and do the actual FHE work on
@@ -41,18 +41,13 @@ drives exactly this path deterministically.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import queue
-import selectors
-import socket
-import struct
 import subprocess
 import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,7 +55,6 @@ from repro import chaos
 from repro.ckks.serialize import serialize_eval_keys
 from repro.errors import (
     ConnectionClosedError,
-    MessageTooLargeError,
     ReproError,
     ServeError,
     ShardUnavailableError,
@@ -71,14 +65,13 @@ from repro.serve.metrics import Metrics, aggregate_counters
 from repro.serve.placement import KeyMemoryPlacement
 from repro.serve.registry import ModelRegistry, default_serve_params
 from repro.serve.retry import RetryPolicy
-from repro.serve.server import (
-    DEFAULT_MAX_MESSAGE_BYTES,
-    ServeClient,
-    send_message,
-)
-from repro.serve.worker import ServeResponse
+from repro.serve.server import ServeClient
+from repro.serve.transport import DEFAULT_MAX_MESSAGE_BYTES, FrameServer
 
 _router_session_counter = itertools.count(1)
+
+#: how long a (re)spawned shard process gets to report its port
+SPAWN_TIMEOUT_S = 30.0
 
 #: overload counters summed across shards in the router's ``metrics`` op
 OVERLOAD_METRICS = (
@@ -229,20 +222,20 @@ class ShardHandle:
     def __init__(self, index: int, host: str = "127.0.0.1",
                  pool_size: int = 4, timeout_s: float = 60.0,
                  workers: int = 2, exec_jobs: int | None = None,
-                 spawn_timeout_s: float = 30.0,
                  mem_budget: int | None = None,
                  kernel: str | None = None,
-                 shed_policy: str | None = None):
+                 shed_policy: str | None = None,
+                 shed_target_p95_s: float | None = None):
         self.index = index
         self.host = host
         self.pool_size = pool_size
         self.timeout_s = timeout_s
         self.workers = workers
         self.exec_jobs = exec_jobs
-        self.spawn_timeout_s = spawn_timeout_s
         self.mem_budget = mem_budget
         self.kernel = kernel
         self.shed_policy = shed_policy
+        self.shed_target_p95_s = shed_target_p95_s
         #: backend the shard reported at registration (its own resolution
         #: of the requested kernel, e.g. ``auto`` -> ``numpy``)
         self.kernel_backend: str | None = None
@@ -292,11 +285,13 @@ class ShardHandle:
             cmd += ["--kernel", self.kernel]
         if self.shed_policy is not None:
             cmd += ["--shed-policy", self.shed_policy]
+        if self.shed_target_p95_s is not None:
+            cmd += ["--shed-target-p95-s", str(self.shed_target_p95_s)]
         self.proc = subprocess.Popen(
             cmd, env=self._child_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        deadline = time.monotonic() + self.spawn_timeout_s
+        deadline = time.monotonic() + SPAWN_TIMEOUT_S
         while time.monotonic() < deadline:
             if self.proc.poll() is not None:
                 raise ShardUnavailableError(
@@ -310,7 +305,7 @@ class ShardHandle:
         else:
             raise ShardUnavailableError(
                 f"shard {self.index} did not report a port within "
-                f"{self.spawn_timeout_s:.0f}s")
+                f"{SPAWN_TIMEOUT_S:.0f}s")
         try:
             os.unlink(port_file.name)
         except OSError:
@@ -363,49 +358,23 @@ class ShardHandle:
         return reply, payload
 
 
-# -- front-end connection state --------------------------------------------
-
-class _Conn:
-    """Per-client-connection state on the event loop.
-
-    Reads are assembled by the selector thread into ``buffer``; replies
-    are written by dispatch threads under ``write_lock`` (sockets stay
-    blocking — the selector is used for read-readiness only, so an idle
-    connection costs this object, not a thread).
-    """
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.buffer = bytearray()
-        self.write_lock = threading.Lock()
-        self.closed = False
-
-    def send_reply(self, header: dict, body: bytes = b"") -> None:
-        with self.write_lock:
-            if self.closed:
-                return
-            try:
-                send_message(self.sock, header, body)
-            except OSError:
-                self.closed = True
-
-
 # -- the router ------------------------------------------------------------
 
-class RouterServer:
-    """Async front-end routing the serve protocol to shard processes.
+class RouterServer(FrameServer):
+    """Route the serve protocol to shard processes: placement + forwarding.
 
     Args:
         num_shards: shard subprocesses to spawn.
         key_budget: per-shard resident evaluation-key byte budget; when
             placing a model would exceed it, LRU models on that shard
             are evicted (their keys dropped) first.  None = unbounded.
-        dispatch_threads: request-handling threads.  These block on
-            shard RPCs, not on FHE math, so a few go a long way; idle
-            *connections* cost nothing either way.
-        shard_workers / shard_jobs / shard_mem_budget / shard_kernel:
+        pool_size: connections kept to each shard; bounds the forwards
+            in flight per shard whatever the client connection count.
+        shard_workers / shard_jobs / shard_mem_budget / shard_kernel /
+        shard_shed_policy / shard_shed_target_p95_s:
             forwarded to each shard (worker threads, executor jobs,
-            REPRO_MEM_BUDGET, ``--kernel`` backend choice).
+            REPRO_MEM_BUDGET, ``--kernel`` backend choice, the
+            ``--shed-*`` overload options).
     """
 
     def __init__(
@@ -415,20 +384,18 @@ class RouterServer:
         port: int = 0,
         key_budget: int | None = None,
         metrics: Metrics | None = None,
-        dispatch_threads: int = 8,
         request_timeout_s: float = 60.0,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
         pool_size: int = 4,
         shard_workers: int = 2,
         shard_jobs: int | None = None,
         shard_mem_budget: int | None = None,
-        spawn_timeout_s: float = 30.0,
         shard_kernel: str | None = None,
         shard_shed_policy: str | None = None,
+        shard_shed_target_p95_s: float | None = None,
     ):
-        self.metrics = metrics or Metrics()
+        super().__init__(host, port, metrics, max_message_bytes)
         self.placement = KeyMemoryPlacement(num_shards, key_budget)
-        self.max_message_bytes = max_message_bytes
         self.request_timeout_s = request_timeout_s
         self._specs: dict[str, ModelSpec] = {}
         self._specs_lock = threading.Lock()
@@ -438,32 +405,28 @@ class RouterServer:
             ShardHandle(index, host=host, pool_size=pool_size,
                         timeout_s=request_timeout_s, workers=shard_workers,
                         exec_jobs=shard_jobs,
-                        spawn_timeout_s=spawn_timeout_s,
                         mem_budget=shard_mem_budget,
                         kernel=shard_kernel,
-                        shed_policy=shard_shed_policy)
+                        shed_policy=shard_shed_policy,
+                        shed_target_p95_s=shard_shed_target_p95_s)
             for index in range(num_shards)
         ]
-        for shard in self.shards:
-            with shard.lock:
-                shard.spawn_locked()
-        self._pool = ThreadPoolExecutor(
-            max_workers=dispatch_threads, thread_name_prefix="router-dispatch")
-        self._sel = selectors.DefaultSelector()
-        self._listen_sock = socket.create_server((host, port))
-        self.host, self.port = self._listen_sock.getsockname()[:2]
-        self._sel.register(self._listen_sock, selectors.EVENT_READ, None)
-        self._stopping = threading.Event()
-        self._loop_thread: threading.Thread | None = None
+        try:
+            for shard in self.shards:
+                with shard.lock:
+                    shard.spawn_locked()
+        except BaseException:
+            self.stop()  # the shards already up, and the bound socket
+            raise
 
     # -- model management --------------------------------------------------
 
     def add_model(self, model_id: str, model, params=None,
                   max_batch: int = 4, seed: int = 0,
-                  repack: bool = False, align_levels: bool = False,
-                  eager: bool = True) -> ModelSpec:
-        """Compile ``model`` once, build its key blob, and (optionally)
-        place + register it on a shard right away.
+                  repack: bool = False,
+                  align_levels: bool = False) -> ModelSpec:
+        """Compile ``model`` once, build its key blob, and place +
+        register it on a shard right away.
 
         The compile happens in a throwaway registry purely to act as key
         authority; the resulting backend (and with it the bulk of the
@@ -500,8 +463,7 @@ class RouterServer:
             self._specs[model_id] = spec
         self.metrics.inc("router_models_added_total")
         self.metrics.set_gauge(f"serve_key_bytes_{model_id}", spec.key_bytes)
-        if eager:
-            self._ensure_placed(spec)
+        self._ensure_placed(spec)
         return spec
 
     def spec(self, model_id: str) -> ModelSpec:
@@ -568,7 +530,10 @@ class RouterServer:
         generation no longer matches).
         """
         with shard.lock:
-            if shard.generation != seen_generation:
+            # stop() sets the flag before it takes this lock to kill the
+            # shard, so a request still in flight cannot respawn it after
+            if (shard.generation != seen_generation
+                    or self._stopping.is_set()):
                 return
             shard.spawn_locked()
             self.metrics.inc("router_shard_respawns_total")
@@ -585,148 +550,12 @@ class RouterServer:
             self.metrics.set_gauge(
                 f"router_shard_{index}_models", len(info["models"]))
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "RouterServer":
-        self._loop_thread = threading.Thread(
-            target=self._event_loop, name="router-frontend", daemon=True)
-        self._loop_thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._event_loop()
-
     def stop(self) -> None:
-        self._stopping.set()
-        try:
-            self._listen_sock.close()
-        except OSError:
-            pass
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=5)
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        super().stop()
         for shard in self.shards:
             shard.close()
-        try:
-            self._sel.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "RouterServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # -- event loop --------------------------------------------------------
-
-    def _event_loop(self) -> None:
-        """Selector loop: accept + read + frame, dispatch to the pool.
-
-        Sockets stay *blocking*; the selector provides read-readiness
-        only.  One thread services every idle connection — ten thousand
-        quiet clients cost ten thousand ``_Conn`` buffers, not ten
-        thousand threads — while actual request handling (which blocks
-        on a shard RPC) runs on the dispatch pool.
-        """
-        while not self._stopping.is_set():
-            try:
-                events = self._sel.select(timeout=0.2)
-            except OSError:
-                break
-            for key, _mask in events:
-                if key.data is None:
-                    self._accept()
-                else:
-                    self._read(key.data)
-
-    def _accept(self) -> None:
-        try:
-            sock, _addr = self._listen_sock.accept()
-        except OSError:
-            return
-        conn = _Conn(sock)
-        try:
-            self._sel.register(sock, selectors.EVENT_READ, conn)
-            self.metrics.inc("router_connections_total")
-        except (KeyError, ValueError, OSError):
-            sock.close()
-
-    def _drop(self, conn: _Conn) -> None:
-        conn.closed = True
-        try:
-            self._sel.unregister(conn.sock)
-        except (KeyError, ValueError, OSError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-
-    def _read(self, conn: _Conn) -> None:
-        try:
-            chunk = conn.sock.recv(1 << 16)
-        except OSError:
-            self._drop(conn)
-            return
-        if not chunk:
-            self._drop(conn)
-            return
-        conn.buffer.extend(chunk)
-        while True:
-            frame = self._next_frame(conn)
-            if frame is None:
-                break
-            header, body = frame
-            self._pool.submit(self._handle, conn, header, body)
-
-    def _next_frame(self, conn: _Conn) -> tuple[dict, bytes] | None:
-        """Pop one complete frame from the connection buffer, if any.
-
-        Oversized prefixes and corrupt headers poison the stream beyond
-        resync — reply with the typed error, then close (mirrors the
-        single-process server).
-        """
-        buf = conn.buffer
-        if len(buf) < 8:
-            return None
-        header_len, body_len = struct.unpack("<II", buf[:8])
-        if (header_len > self.max_message_bytes
-                or body_len > self.max_message_bytes):
-            self.metrics.inc("serve_frames_oversize_total")
-            conn.send_reply(ServeResponse.failure(MessageTooLargeError(
-                f"frame length prefix {header_len}+{body_len} bytes exceeds "
-                f"max_message_bytes={self.max_message_bytes}")).header())
-            self._drop(conn)
-            return None
-        total = 8 + header_len + body_len
-        if len(buf) < total:
-            return None
-        try:
-            header = json.loads(bytes(buf[8:8 + header_len]))
-        except (ValueError, UnicodeDecodeError):
-            self._drop(conn)
-            return None
-        body = bytes(buf[8 + header_len:total])
-        del buf[:total]
-        return header, body
 
     # -- request handling --------------------------------------------------
-
-    def _handle(self, conn: _Conn, header: dict, body: bytes) -> None:
-        """One client request end to end, on a dispatch thread."""
-        rid = header.get("rid")
-        try:
-            reply, payload = self._dispatch(header, body)
-        except ReproError as exc:
-            reply, payload = ServeResponse.failure(exc).header(), b""
-        except Exception as exc:  # noqa: BLE001 — the router must survive
-            reply = ServeResponse.failure(exc).header()
-            reply["error"] = "InternalError"
-            payload = b""
-        if rid is not None:
-            reply["rid"] = rid
-        conn.send_reply(reply, payload)
 
     def _dispatch(self, header: dict, body: bytes) -> tuple[dict, bytes]:
         op = header.get("op")
@@ -863,7 +692,7 @@ class RouterServer:
         while True:
             attempt += 1
             if attempt > 1:
-                if time.monotonic() >= deadline:
+                if time.monotonic() >= deadline or self._stopping.is_set():
                     break
                 # pause between recovery rounds: respawn + model
                 # re-registration is seconds, not microseconds

@@ -1,10 +1,9 @@
-"""Socket server/client for the Figure-2 protocol over a wire.
+"""Inference server and clients for the Figure-2 protocol over a wire.
 
-Framing: every message is ``<u32 header_len><u32 body_len><header JSON>
-<body bytes>`` (little-endian lengths).  The body carries serialized
-ciphertexts (:mod:`repro.ckks.serialize`); the header carries the op and
-structured status, so a failed request is an ``ok=false`` header — never
-a dropped connection or a crashed server.
+The frame codec, the connection loop and the exception-to-header shell
+live in :mod:`repro.serve.transport`; this module is what an inference
+server *answers* (:class:`InferenceServer`) and the two clients that
+speak to any of the three servers.
 
 Ops: ``models``, ``open_session``, ``close_session``, ``infer``,
 ``metrics``, ``ping``.
@@ -20,10 +19,7 @@ the secret key: it deserializes ciphertexts, batches, and evaluates.
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
-import threading
 import time
 
 import numpy as np
@@ -37,7 +33,6 @@ from repro.ckks.serialize import (
 from repro.errors import (
     ConnectionClosedError,
     DeserializationError,
-    MessageTooLargeError,
     ReproError,
     ServeError,
 )
@@ -47,65 +42,20 @@ from repro.serve.metrics import Metrics
 from repro.serve.registry import ModelRegistry
 from repro.serve.retry import RetryPolicy
 from repro.serve.session import SessionManager
-from repro.serve.worker import InferenceWorker, ServeResponse
-
-#: default cap on either length prefix of an inbound frame.  64 MiB is
-#: far above any toy-parameter ciphertext yet small enough that a
-#: hostile/corrupt prefix cannot drive the receiver out of memory.
-DEFAULT_MAX_MESSAGE_BYTES = 64 << 20
-
-
-# -- framing ---------------------------------------------------------------
-
-def send_message(sock: socket.socket, header: dict, body: bytes = b"") -> None:
-    blob = json.dumps(header).encode()
-    sock.sendall(struct.pack("<II", len(blob), len(body)) + blob + body)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = sock.recv(min(count, 1 << 20))
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_message(
-    sock: socket.socket,
-    max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
-) -> tuple[dict, bytes] | None:
-    """Receive one framed message; ``None`` on peer close.
-
-    A peer that disappears mid-frame (truncated send, reset) is a clean
-    close — the frame is simply gone, never a struct/JSON parse error.
-    A length prefix above ``max_message_bytes`` raises the typed
-    :class:`repro.errors.MessageTooLargeError` *before* any allocation.
-    """
-    try:
-        prefix = _recv_exact(sock, 8)
-        header_len, body_len = struct.unpack("<II", prefix)
-        if header_len > max_message_bytes or body_len > max_message_bytes:
-            raise MessageTooLargeError(
-                f"frame length prefix {header_len}+{body_len} bytes exceeds "
-                f"max_message_bytes={max_message_bytes}"
-            )
-        try:
-            header = json.loads(_recv_exact(sock, header_len))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DeserializationError(
-                f"corrupt frame header: {exc}") from exc
-        body = _recv_exact(sock, body_len) if body_len else b""
-    except ConnectionError:
-        return None
-    return header, body
+from repro.serve.transport import (
+    DEFAULT_MAX_MESSAGE_BYTES,
+    OVERSIZE_PREFIX,
+    FrameServer,
+    encode_frame,
+    recv_message,
+    send_message,
+)
+from repro.serve.worker import InferenceWorker
 
 
 # -- server ----------------------------------------------------------------
 
-class InferenceServer:
+class InferenceServer(FrameServer):
     """Serve registered models over a local TCP socket."""
 
     def __init__(
@@ -124,13 +74,13 @@ class InferenceServer:
         breaker_reset_s: float = 30.0,
         shed_policy: str = "off",
         shed_max_rate: float = 256.0,
-        shed_floor_rate: float = 2.0,
         shed_target_p95_s: float | None = None,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
         recv_timeout_s: float | None = None,
     ):
+        super().__init__(host, port, metrics, max_message_bytes,
+                         recv_timeout_s)
         self.registry = registry
-        self.metrics = metrics or Metrics()
         # the registry exports per-model serve_key_bytes_* gauges (the
         # Figure-7 key-memory meter) through the server's metrics
         registry.export_key_gauges(self.metrics)
@@ -138,10 +88,6 @@ class InferenceServer:
         # the first request never pays compilation latency
         self.metrics.set_gauge("kernel_warmup_seconds", kernels.warmup())
         self.sessions = SessionManager(registry)
-        self.max_message_bytes = max_message_bytes
-        # bounds how long one recv may sit idle: a slow-loris client
-        # trickling bytes cannot pin a connection thread forever
-        self.recv_timeout_s = recv_timeout_s
         self.worker = InferenceWorker(
             metrics=self.metrics,
             num_threads=num_threads,
@@ -154,100 +100,14 @@ class InferenceServer:
             breaker_reset_s=breaker_reset_s,
             shed_policy=shed_policy,
             shed_max_rate=shed_max_rate,
-            shed_floor_rate=shed_floor_rate,
             shed_target_p95_s=shed_target_p95_s,
         )
-        self._sock = socket.create_server((host, port))
-        self.host, self.port = self._sock.getsockname()[:2]
-        self._stopping = threading.Event()
-        self._accept_thread: threading.Thread | None = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> "InferenceServer":
-        """Accept connections on a background thread (tests, benchmarks)."""
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="serve-accept", daemon=True)
-        self._accept_thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Blocking accept loop (the ``repro serve`` CLI)."""
-        self._accept_loop()
 
     def stop(self) -> None:
-        self._stopping.set()
-        # closing a listening socket does not wake a thread blocked in
-        # accept() on Linux; shutting it down first does
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass  # platforms that refuse shutdown on a listening socket
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        super().stop()
         self.worker.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-
-    def __enter__(self) -> "InferenceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._sock.accept()
-            except OSError:
-                break  # socket closed by stop()
-            threading.Thread(target=self._serve_connection, args=(conn,),
-                             daemon=True).start()
 
     # -- request handling --------------------------------------------------
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            if self.recv_timeout_s is not None:
-                conn.settimeout(self.recv_timeout_s)
-            while not self._stopping.is_set():
-                try:
-                    message = recv_message(conn, self.max_message_bytes)
-                except MessageTooLargeError as exc:
-                    # the refused body is still on the wire, so the
-                    # stream cannot be resynced: report, then close
-                    self.metrics.inc("serve_frames_oversize_total")
-                    try:
-                        send_message(
-                            conn, ServeResponse.failure(exc).header())
-                    except OSError:
-                        pass
-                    break
-                except (DeserializationError, OSError):
-                    break
-                if message is None:
-                    break
-                header, body = message
-                try:
-                    reply, payload = self._dispatch(header, body)
-                except ReproError as exc:
-                    reply, payload = ServeResponse.failure(exc).header(), b""
-                except Exception as exc:  # noqa: BLE001 — keep serving
-                    reply = ServeResponse.failure(exc).header()
-                    reply["error"] = "InternalError"
-                    payload = b""
-                # echo the client's request id so its reply correlation
-                # can discard duplicated/stale frames (at-most-once)
-                rid = header.get("rid")
-                if rid is not None:
-                    reply["rid"] = rid
-                try:
-                    if not self._send_reply(conn, reply, payload):
-                        break
-                except OSError:
-                    break
 
     def _send_reply(self, conn: socket.socket, reply: dict,
                     payload: bytes) -> bool:
@@ -270,9 +130,7 @@ class InferenceServer:
         if site == chaos.SERVE_DROP_REPLY:
             return False  # computed, never answered: client sees a close
         if site == chaos.SERVE_CORRUPT_REPLY:
-            blob = json.dumps(reply).encode()
-            frame = bytearray(
-                struct.pack("<II", len(blob), len(payload)) + blob + payload)
+            frame = bytearray(encode_frame(reply, payload))
             for off in range(8, min(len(frame), 24)):
                 frame[off] ^= 0x01  # garble the header JSON, keep ASCII
             conn.sendall(bytes(frame))
@@ -415,8 +273,7 @@ class ServeClient:
             send_message(self._sock, header, body)
             return
         site, spec = fault
-        blob = json.dumps(header).encode()
-        frame = struct.pack("<II", len(blob), len(body)) + blob + body
+        frame = encode_frame(header, body)
         if site == chaos.WIRE_RESET:
             self.close()
             raise ConnectionClosedError("chaos: injected connection reset")
@@ -428,7 +285,7 @@ class ServeClient:
             raise ConnectionClosedError("chaos: injected truncated frame")
         if site == chaos.WIRE_OVERSIZE:
             try:
-                self._sock.sendall(struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF))
+                self._sock.sendall(OVERSIZE_PREFIX)
             finally:
                 self.close()
             raise ConnectionClosedError("chaos: injected oversized frame")

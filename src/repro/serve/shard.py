@@ -13,16 +13,12 @@ ops the router drives placement with:
   access to the shard, the operator learns nothing about plaintexts.
 * ``unregister_model`` — drop a model and its resident key material
   (the router's LRU eviction calls this to reclaim key memory).
-* ``shard_info`` — pid + resident models + per-model key bytes, the
-  placement policy's ground truth.
 
 Run one with ``repro serve --shard`` (no model argument: models arrive
 over the wire) or in-process via :class:`ShardServer` directly.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.ckks import CkksParameters
 from repro.errors import ServeError
@@ -57,27 +53,6 @@ class ShardServer(InferenceServer):
             model_id = str(header.get("model_id"))
             self.registry.unregister(model_id)
             return {"ok": True, "model_id": model_id}, b""
-        if op == "shard_info":
-            key_bytes = {}
-            for model_id in self.registry.ids():
-                key_bytes[model_id] = self.registry.get(model_id).key_bytes
-            snap = self.metrics.snapshot()
-            counters, gauges = snap["counters"], snap["gauges"]
-            return {
-                "ok": True,
-                "pid": os.getpid(),
-                "models": self.registry.ids(),
-                "key_bytes": key_bytes,
-                "sessions": self.sessions.count(),
-                "kernel_backend": kernels.active_name(),
-                "overload": {
-                    "shed_total": counters.get("serve_shed_total", 0),
-                    "goodput_rps": gauges.get("serve_goodput_rps", 0.0),
-                    "batch_repacks": counters.get("serve_batch_repacks", 0),
-                    "deadline_miss_total": counters.get(
-                        "serve_deadline_miss_total", 0),
-                },
-            }, b""
         return super()._dispatch(header, body)
 
     def _handle_register(self, header: dict,

@@ -148,10 +148,6 @@ class InferenceWorker:
         breaker_reset_s: float = 30.0,
         shed_policy: str = "off",
         shed_max_rate: float = 256.0,
-        shed_floor_rate: float = 2.0,
-        shed_increase: float = 8.0,
-        shed_decrease: float = 0.5,
-        shed_window_s: float = 5.0,
         shed_target_p95_s: float | None = None,
     ):
         if num_threads < 1:
@@ -167,10 +163,6 @@ class InferenceWorker:
         self.breaker_reset_s = breaker_reset_s
         self.shed_policy = shed_policy
         self.shed_max_rate = shed_max_rate
-        self.shed_floor_rate = shed_floor_rate
-        self.shed_increase = shed_increase
-        self.shed_decrease = shed_decrease
-        self.shed_window_s = shed_window_s
         self.shed_target_p95_s = shed_target_p95_s
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
@@ -185,7 +177,7 @@ class InferenceWorker:
         self._model_widths: dict[str, int] = {}
         self._occupancy_ewma: float | None = None
         # successes that beat their deadline, for serve_goodput_rps
-        self._goodput = SlidingWindow(window_s=shed_window_s)
+        self._goodput = SlidingWindow()
         self._goodput_lock = threading.Lock()
         # Op-level parallelism inside one batch execution.  All worker
         # threads draw executor threads from ONE shared budget, so the
@@ -395,11 +387,7 @@ class InferenceWorker:
             if controller is None:
                 controller = AdmissionController(
                     max_rate=self.shed_max_rate,
-                    floor_rate=self.shed_floor_rate,
-                    increase=self.shed_increase,
-                    decrease=self.shed_decrease,
                     target_p95_s=self.shed_target_p95_s,
-                    signal_window_s=self.shed_window_s,
                     # a quarter-second burst allowance: enough to fill a
                     # slot batch at once, not enough to flood the queue
                     # with a full second of rate on the first arrival

@@ -7,6 +7,9 @@ key exchange are also covered in-process so most failures localise
 without any process management involved.
 """
 
+import socket
+import struct
+import subprocess
 import threading
 import time
 
@@ -19,7 +22,12 @@ from repro.ckks.serialize import (
     serialize_ciphertext,
     serialize_eval_keys,
 )
-from repro.errors import KeyError_, ServeError, UnknownModelError
+from repro.errors import (
+    KeyError_,
+    ServeError,
+    ShardUnavailableError,
+    UnknownModelError,
+)
 from repro.onnx import OnnxGraphBuilder, model_to_bytes
 from repro.serve import (
     InferenceServer,
@@ -28,10 +36,12 @@ from repro.serve import (
     RemoteModelClient,
     RouterServer,
     ServeClient,
+    ShardHandle,
     ShardServer,
     default_serve_params,
     params_from_describe,
 )
+from repro.serve.transport import recv_message, send_message
 
 
 def build_model(name="credit_score", seed=0):
@@ -137,8 +147,7 @@ def test_shard_register_model_over_wire_cannot_decrypt():
             }, model_bytes + blob)
             assert reply["ok"] and reply["key_bytes"] > 0
 
-            info, _ = control.rpc({"op": "shard_info"})
-            assert info["models"] == ["credit"]
+            assert control.models() == ["credit"]
 
         entry = registry.get("credit")
         assert entry.keygen_seed is None          # never knew a seed
@@ -193,8 +202,7 @@ def test_shard_register_rejects_missing_key_blob():
 def router():
     alpha = build_model("alpha", seed=0)
     beta = build_model("beta", seed=1)
-    with RouterServer(num_shards=2, dispatch_threads=4,
-                      shard_workers=2, pool_size=2) as rt:
+    with RouterServer(num_shards=2, shard_workers=2, pool_size=2) as rt:
         rt.add_model("alpha", model_to_bytes(alpha), max_batch=4, seed=7)
         rt.add_model("beta", model_to_bytes(beta), max_batch=4, seed=8)
         yield rt, {"alpha": _weights(alpha), "beta": _weights(beta)}
@@ -307,13 +315,112 @@ def test_router_control_plane_ops(router):
             == ["alpha", "beta"]
 
 
+# -- the router's wire front-end (the shared FrameServer shell) -------------
+
+def test_router_oversized_frame_gets_typed_reply_then_close(router):
+    """A hostile length prefix is refused before any allocation: typed
+    reply, counted, connection closed — and the router keeps routing."""
+    rt, _ = router
+    before = rt.metrics.counter("serve_frames_oversize_total")
+    with socket.create_connection((rt.host, rt.port), timeout=30) as sock:
+        sock.sendall(struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF))
+        reply, _ = recv_message(sock)
+        assert not reply["ok"]
+        assert reply["error"] == "MessageTooLargeError"
+        assert recv_message(sock) is None  # closed: stream cannot resync
+    assert rt.metrics.counter("serve_frames_oversize_total") == before + 1
+    with ServeClient(rt.host, rt.port) as client:
+        assert client.models() == ["alpha", "beta"]
+
+
+@pytest.mark.parametrize("blob", [b'{"op": \xff"ping"}', b'["ping"]'],
+                         ids=["garbled-json", "not-an-object"])
+def test_router_corrupt_header_closes_only_that_connection(router, blob):
+    rt, _ = router
+    with ServeClient(rt.host, rt.port) as bystander:
+        assert bystander.models() == ["alpha", "beta"]
+        with socket.create_connection((rt.host, rt.port),
+                                      timeout=30) as sock:
+            sock.sendall(struct.pack("<II", len(blob), 0) + blob)
+            assert recv_message(sock) is None  # no reply, just a close
+        # the connection opened before the corrupt frame is untouched
+        assert bystander.models() == ["alpha", "beta"]
+
+
+def test_router_dispatch_bug_answers_internal_error_with_rid(
+        router, monkeypatch):
+    """A non-ReproError out of ``_dispatch`` is a router bug: the client
+    gets ``InternalError`` under its own rid and the connection lives."""
+    rt, _ = router
+
+    def boom(header, body):
+        raise RuntimeError("router bug")
+
+    with socket.create_connection((rt.host, rt.port), timeout=30) as sock:
+        with monkeypatch.context() as patched:
+            patched.setattr(rt, "_dispatch", boom)
+            send_message(sock, {"op": "ping", "rid": 41})
+            reply, _ = recv_message(sock)
+        assert not reply["ok"]
+        assert reply["error"] == "InternalError"
+        assert "router bug" in reply["message"]
+        assert reply["rid"] == 41
+        send_message(sock, {"op": "ping", "rid": 42})
+        reply, _ = recv_message(sock)
+        assert reply["ok"] and reply["rid"] == 42
+
+
+def test_router_forwards_overload_options_to_shard_argv(monkeypatch):
+    """``repro router --shed-target-p95-s X`` must reach ``repro serve
+    --shard``: inspect the argv ``spawn_locked`` builds, spawning nothing."""
+    seen = []
+
+    class ExitedAtOnce:
+        returncode = 1
+
+        def __init__(self, cmd, **_kwargs):
+            seen.append(cmd)
+
+        def poll(self):
+            return self.returncode
+
+        def wait(self, timeout=None):
+            return self.returncode
+
+    monkeypatch.setattr(subprocess, "Popen", ExitedAtOnce)
+    with pytest.raises(ShardUnavailableError):
+        RouterServer(num_shards=1, shard_shed_policy="aimd",
+                     shard_shed_target_p95_s=0.25)
+    (cmd,) = seen
+    assert cmd[cmd.index("--shed-policy") + 1] == "aimd"
+    assert cmd[cmd.index("--shed-target-p95-s") + 1] == "0.25"
+
+    seen.clear()
+    handle = ShardHandle(0)
+    with pytest.raises(ShardUnavailableError), handle.lock:
+        handle.spawn_locked()
+    assert "--shed-target-p95-s" not in seen[0]  # unset stays unset
+
+
+def test_router_stop_never_respawns_a_shard():
+    """A request still in flight when ``stop()`` kills the shards sees
+    them die; its recovery path must not spawn a process nobody owns."""
+    rt = RouterServer(num_shards=1)
+    shard = rt.shards[0]
+    rt.stop()
+    assert not shard.alive()
+    rt._recover_shard(shard, shard.generation)
+    assert not shard.alive()
+    assert rt.metrics.counter("router_shard_respawns_total") == 0
+
+
 def test_router_evicts_and_rehydrates_under_key_budget():
     """A one-shard router whose key budget holds a single model: placing
     the second evicts the first (LRU); using the first again transparently
     re-registers it from the router's retained key blob."""
     alpha = build_model("alpha", seed=0)
     beta = build_model("beta", seed=1)
-    with RouterServer(num_shards=1, dispatch_threads=2, shard_workers=2,
+    with RouterServer(num_shards=1, shard_workers=2,
                       pool_size=2, key_budget=4_000_000) as rt:
         spec = rt.add_model("alpha", model_to_bytes(alpha), seed=7)
         assert spec.key_bytes > 2_000_000  # budget really holds only one
