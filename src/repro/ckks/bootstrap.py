@@ -2,9 +2,11 @@
 
 Follows the classic HEAAN recipe:
 
-1. **ModRaise** — reinterpret a level-0 ciphertext over the full modulus
-   chain.  The underlying plaintext becomes ``m + q0 * I`` for a small
-   integer polynomial I (|I| bounded by the sparse-secret Hamming weight).
+1. **ModRaise** — reinterpret a level-0 ciphertext over the target level
+   plus the levels the refresh itself consumes (the full modulus chain
+   for the default, maximal target).  The underlying plaintext becomes
+   ``m + q0 * I`` for a small integer polynomial I (|I| bounded by the
+   sparse-secret Hamming weight).
 2. **CoeffToSlot** — homomorphic DFT moving the polynomial *coefficients*
    into the *slots* so the modular reduction can be evaluated slot-wise.
    Because a ciphertext holds N/2 slots and the polynomial has N
@@ -114,9 +116,15 @@ class Bootstrapper:
     # ------------------------------------------------------------------
 
     def mod_raise(self, ct: Ciphertext) -> Ciphertext:
-        """Reinterpret a low-level ciphertext over the full chain."""
+        """Reinterpret a low-level ciphertext over a longer chain.
+
+        Only the ``depth`` levels the refresh consumes are raised above
+        the target (§4.4, "bootstrap to the minimal level"): limbs past
+        that would ride through every key switch of the pipeline just to
+        be dropped at the end.
+        """
         ev = self.ev
-        full = ev.basis_at(ev.params.max_level)
+        full = ev.basis_at(self.target_level + self.depth)
         q0 = ct.basis.moduli[0]
         parts = []
         for part in ct.parts:

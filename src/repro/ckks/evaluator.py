@@ -12,8 +12,8 @@ expensive half can be shared:
 * :meth:`_decompose` performs the digit decomposition + mod-up of a
   polynomial once (inverse NTT, residue lift, batched forward NTT over
   every digit and limb in one numpy pass);
-* :meth:`_inner_product` folds the digits with a (level-restricted,
-  cached) key-switch key;
+* :meth:`_inner_product` folds the digits with a key-switch key, read
+  at the ciphertext's level through views of the key's one array;
 * :meth:`rotate_hoisted` reuses one decomposition across many rotation
   steps, applying each Galois automorphism to the decomposed digits as a
   pure NTT-domain permutation ("hoisting", Halevi–Shoup).
@@ -110,15 +110,11 @@ class CkksEvaluator:
         self.encoder = CkksEncoder(params.poly_degree)
         self.cipher_basis, self.key_basis = params.make_bases()
         self._ext_bases: dict[int, RnsBasis] = {}
-        # (id(ksk), level) -> (ksk, key_stack); the ksk reference both
-        # pins the key (so ids cannot be recycled under us) and lets
-        # lookups verify identity before trusting a cached stack.
-        self._ksk_cache: dict[tuple[int, int], tuple[KeySwitchKey, np.ndarray]] = {}
-        # guards first-miss population of the memo caches above: the
-        # parallel executor hammers one evaluator from many threads, and
-        # without the lock concurrent misses would each build (and
-        # briefly publish) duplicate stacks.  Lookups stay lock-free —
-        # entries are immutable once inserted and dict reads are atomic.
+        # guards first-miss population of ``_ext_bases``: the parallel
+        # executor hammers one evaluator from many threads, and without
+        # the lock concurrent misses would each build (and briefly
+        # publish) a duplicate basis.  Lookups stay lock-free — entries
+        # are immutable once inserted and dict reads are atomic.
         self._cache_lock = threading.Lock()
         #: key switches spent composing rotations out of power-of-two
         #: steps because no exact key existed (paper §2.2); the compiler's
@@ -372,46 +368,26 @@ class CkksEvaluator:
                     self._ext_bases[level] = ext
         return ext
 
+    def _key_rows(self, level: int) -> tuple[tuple[slice, slice], ...]:
+        """``(key rows, extended-basis rows)`` ranges for one level.
+
+        The whole key basis at the top level, otherwise its first
+        ``level+1`` cipher limbs and its trailing specials, each with the
+        rows of the extended basis it lands on — basic slices, so
+        indexing a key with them yields views, never copies.
+        """
+        num_cipher = len(self.cipher_basis)
+        if level + 1 == num_cipher:
+            return ((slice(None), slice(None)),)
+        low = slice(0, level + 1)
+        return ((low, low), (slice(num_cipher, None), slice(level + 1, None)))
+
     def _restrict_key_poly(self, poly: RnsPoly, level: int) -> RnsPoly:
         """Select the rows of a key-basis polynomial matching level+specials."""
-        num_cipher = len(self.cipher_basis)
-        idx = list(range(level + 1)) + list(
-            range(num_cipher, len(self.key_basis))
+        rows = np.concatenate(
+            [poly.residues[key_rows] for key_rows, _ in self._key_rows(level)]
         )
-        ext = self._extended_basis(level)
-        return RnsPoly(ext, poly.residues[idx].copy(), poly.is_ntt)
-
-    def _restricted_ksk(self, ksk: KeySwitchKey, level: int) -> np.ndarray:
-        """Level-restricted key stack, shape ``(2, level+1, K, N)``.
-
-        Row 0 holds the ``b`` halves, row 1 the ``a`` halves, one slice per
-        digit.  The row selection (drop the unused cipher limbs, keep the
-        specials) used to be re-sliced and copied on every digit of every
-        key switch; here it is cached per ``(key, level)``.  Entries keep a
-        reference to the key and verify identity on lookup, so a key
-        object being freed and its ``id`` recycled can never alias a stale
-        stack.
-        """
-        cache_key = (id(ksk), level)
-        hit = self._ksk_cache.get(cache_key)
-        if hit is not None and hit[0] is ksk:
-            return hit[1]
-        with self._cache_lock:
-            hit = self._ksk_cache.get(cache_key)
-            if hit is not None and hit[0] is ksk:
-                return hit[1]
-            num_cipher = len(self.cipher_basis)
-            idx = list(range(level + 1)) + list(
-                range(num_cipher, len(self.key_basis))
-            )
-            stack = np.stack(
-                [
-                    [ksk.pairs[j][h].residues[idx] for j in range(level + 1)]
-                    for h in range(2)
-                ]
-            )
-            self._ksk_cache[cache_key] = (ksk, stack)
-            return stack
+        return RnsPoly(self._extended_basis(level), rows, poly.is_ntt)
 
     def _decompose(self, d: RnsPoly) -> HoistedDecomposition:
         """Digit decomposition + mod-up of ``d`` (the hoistable half).
@@ -439,11 +415,16 @@ class CkksEvaluator:
         ``np.mod`` replaces a chain of modular additions.
         """
         ext = self._extended_basis(level)
-        keys = self._restricted_ksk(ksk, level)
-        q = ext.moduli_col[None, None, :, :]
-        # one fused pass over both key halves: (2, digits, K, N)
-        prods = modmath.mul_mod(digits[None, :, :, :], keys, q)
-        acc = modmath.mod_reduce(np.add.reduce(prods, axis=1), ext.moduli_col)
+        stack = ksk.stack[:, : level + 1]
+        acc = np.empty((2, len(ext), ext.degree), dtype=np.uint64)
+        for key_rows, ext_rows in self._key_rows(level):
+            q = ext.moduli_col[ext_rows]
+            # one fused pass over both key halves, on (2, digits, rows, N)
+            # views of the key
+            prods = modmath.mul_mod(
+                digits[None, :, ext_rows], stack[:, :, key_rows], q)
+            acc[:, ext_rows] = modmath.mod_reduce(
+                np.add.reduce(prods, axis=1), q)
         return (
             RnsPoly(ext, acc[0], is_ntt=True),
             RnsPoly(ext, acc[1], is_ntt=True),

@@ -73,16 +73,32 @@ class PublicKey:
 
 @dataclass
 class KeySwitchKey:
-    """Digit-decomposed key-switching key: one (b_j, a_j) pair per prime."""
+    """Digit-decomposed key-switching key: one (b_j, a_j) pair per prime.
 
-    pairs: list[tuple[RnsPoly, RnsPoly]]  # over the full key basis, NTT form
+    ``stack`` is the only copy of the key: a ``(2, digits, K, N)`` uint64
+    array over the full key basis in NTT form — row 0 the ``b`` halves,
+    row 1 the ``a`` halves, one ``(K, N)`` residue matrix per digit.
+    Every other shape of the key (:attr:`pairs`, the evaluator's
+    per-level restriction) is a view of it.
+    """
+
+    stack: np.ndarray
+    basis: RnsBasis
     #: number of ciphertext primes the key was generated for
     num_cipher_primes: int
     #: number of trailing special primes
     num_special_primes: int
 
+    @property
+    def pairs(self) -> list[tuple[RnsPoly, RnsPoly]]:
+        """``(b_j, a_j)`` per digit, as polynomials viewing :attr:`stack`."""
+        return [
+            (RnsPoly(self.basis, b, True), RnsPoly(self.basis, a, True))
+            for b, a in zip(self.stack[0], self.stack[1])
+        ]
+
     def byte_size(self) -> int:
-        return sum(b.byte_size() + a.byte_size() for b, a in self.pairs)
+        return int(self.stack.nbytes)
 
 
 @dataclass
@@ -177,14 +193,19 @@ class KeyGenerator:
         num_cipher = len(self.cipher_basis)
         gadget = gadget_factors(tuple(self.cipher_basis.moduli))
         p = self._special_product
-        pairs = []
+        stack = np.empty(
+            (2, num_cipher, len(self.key_basis), self.key_basis.degree),
+            dtype=np.uint64,
+        )
         for j in range(num_cipher):
             a_j = RnsPoly.uniform_random(self.key_basis, self.rng)
             e_j = sample_error(self.key_basis, self.rng, self.error_std)
             b_j = -(a_j * secret.poly) + e_j + target.scalar_mul(p * gadget[j])
-            pairs.append((b_j, a_j))
+            stack[0, j] = b_j.residues
+            stack[1, j] = a_j.residues
         return KeySwitchKey(
-            pairs=pairs,
+            stack=stack,
+            basis=self.key_basis,
             num_cipher_primes=num_cipher,
             num_special_primes=self.num_special,
         )

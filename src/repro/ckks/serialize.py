@@ -227,7 +227,7 @@ def serialize_eval_keys(keys: KeyChain) -> bytes:
     if keys.conjugation is not None:
         ksks.append(keys.conjugation)
     if ksks:
-        key_basis = ksks[0].pairs[0][0].basis
+        key_basis = ksks[0].basis
     else:
         key_basis = cipher_basis
     meta = {
@@ -328,10 +328,23 @@ def deserialize_eval_keys(data: bytes, cipher_basis: RnsBasis,
         return RnsPoly(basis, flat.reshape(limbs, degree).copy(), True)
 
     def read_ksk() -> KeySwitchKey:
-        pairs = [(read_poly(key_basis, key_limbs),
-                  read_poly(key_basis, key_limbs))
-                 for _ in range(num_cipher)]
-        return KeySwitchKey(pairs=pairs, num_cipher_primes=num_cipher,
+        nonlocal offset
+        if (num_cipher, num_special) != (cipher_limbs,
+                                         key_limbs - cipher_limbs):
+            raise DeserializationError(
+                f"key header digit/special counts ({num_cipher}, "
+                f"{num_special}) do not match the receiver's chains"
+            )
+        # on the wire: b_0, a_0, b_1, a_1, ... — copied once, straight
+        # into the key's (2, digits, K, N) array
+        count = num_cipher * 2 * key_limbs * degree
+        wire = _read_body(data, offset, count).reshape(
+            num_cipher, 2, key_limbs, degree)
+        offset += count * 8
+        stack = np.empty((2, num_cipher, key_limbs, degree), dtype=np.uint64)
+        stack[...] = wire.transpose(1, 0, 2, 3)
+        return KeySwitchKey(stack=stack, basis=key_basis,
+                            num_cipher_primes=num_cipher,
                             num_special_primes=num_special)
 
     public = PublicKey(b=read_poly(cipher_basis, cipher_limbs),

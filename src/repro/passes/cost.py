@@ -83,12 +83,11 @@ class CostModel:
     #: bootstrap: seconds per (target_level+1) * N log2 N unit
     c_boot: float = 6.0e-8
     #: target-independent bootstrap work, in limb-equivalents of
-    #: ``c_boot``: the ModRaise to the full chain plus the CtS/EvalMod/
-    #: StC stages all run near the top of the modulus chain regardless
-    #: of the refresh target, so most of a refresh's cost survives any
-    #: retargeting — which is exactly why *deleting* a refresh (the
-    #: level replanner's job) is worth so much more than lowering its
-    #: target.
+    #: ``c_boot``: the ModRaise plus the CtS/EvalMod/StC stages run on
+    #: the refresh's own depth of levels *above* the target whatever the
+    #: target is, so most of a refresh's cost survives any retargeting —
+    #: which is exactly why *deleting* a refresh (the level replanner's
+    #: job) is worth so much more than lowering its target.
     boot_base_limbs: float = 24.0
     #: fixed per-op dispatch overhead
     c_fixed: float = 2.0e-6

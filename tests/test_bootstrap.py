@@ -103,6 +103,10 @@ def test_bootstrap_target_level_knob(boot_ctx):
     rng = np.random.default_rng(7)
     msg = rng.uniform(-0.25, 0.25, size=N // 2)
     ct = ctx.encrypt(msg, level=0)
+    # ModRaise lifts only as far as the refresh itself consumes
+    raised = bs_min.mod_raise(ct)
+    assert len(raised.basis) == 1 + bs_min.depth + 1
+    assert raised.level < ctx.params.max_level
     refreshed = bs_min.bootstrap(ct)
     assert refreshed.level == 1
     assert np.allclose(ctx.decrypt(refreshed, N // 2), msg, atol=0.02)

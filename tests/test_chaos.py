@@ -552,9 +552,9 @@ def test_graceful_shutdown_fails_queued_requests(registry):
                                entry.encryptor(entry.backend, x))
         closer = threading.Thread(target=worker.close)
         closer.start()
-        deadline = time.monotonic() + 5
-        while worker._queue.qsize() and time.monotonic() < deadline:
-            time.sleep(0.005)  # close() drains the queued request
+        # hold the lock until close() has failed the queued request (the
+        # queue itself never empties: close() leaves its sentinel there)
+        second.result(timeout=30)
     closer.join(timeout=30)
     assert not closer.is_alive()
     # in-flight work completed; queued work failed with a typed shutdown

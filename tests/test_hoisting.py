@@ -1,14 +1,19 @@
-"""Evaluator hot-path tests: hoisted rotations, key/plaintext caches,
-batched NTT, and the bookkeeping (slots_in_use, fallback counter) that
-rides along with them."""
+"""Evaluator hot-path tests: hoisted rotations, single-copy key-switch
+keys, the plaintext cache, batched NTT, and the bookkeeping (slots_in_use,
+fallback counter) that rides along with them."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.backend import ExactBackend
 from repro.ckks import CkksContext, CkksParameters
+from repro.ckks.cipher import Ciphertext
 from repro.ckks.linear import LinearTransform, apply_hoisted_batch
+from repro.ckks.serialize import deserialize_eval_keys, serialize_eval_keys
 from repro.errors import ParameterError
+from repro.polymath import modmath
 from repro.polymath.poly import ntt_automorphism_index_map, rotation_galois_element
 from repro.polymath.rns import RnsBasis, RnsPoly
 from repro.utils.primes import generate_prime_chain
@@ -83,25 +88,109 @@ def test_backend_exposes_fallback_counter():
 
 
 # ----------------------------------------------------------------------
-# key-switch key cache
+# key-switch keys: one array per key, read through views
 # ----------------------------------------------------------------------
 
-def test_restricted_ksk_cached_per_key_and_level(ctx):
+def _eval_only_keys(ctx):
+    blob = serialize_eval_keys(ctx.keys)
+    return deserialize_eval_keys(blob, *ctx.params.make_bases())
+
+
+@pytest.mark.parametrize("rebuild", [False, True],
+                         ids=["generated", "deserialized"])
+def test_keyswitch_key_is_held_once(ctx, rebuild):
+    keys = _eval_only_keys(ctx) if rebuild else ctx.keys
+    ksks = [*keys.rotations.values(), keys.relin, keys.conjugation]
+    assert len(ksks) == SLOTS - 1 + 2
+    _, key_basis = ctx.params.make_bases()
+    for ksk in ksks:
+        digits = ksk.num_cipher_primes
+        assert ksk.stack.shape == (2, digits, len(key_basis), N)
+        assert ksk.stack.flags.owndata and ksk.stack.flags.writeable
+        assert ksk.byte_size() == ksk.stack.nbytes
+        assert len(ksk.pairs) == digits
+        for j, (b, a) in enumerate(ksk.pairs):
+            assert np.shares_memory(b.residues, ksk.stack[0, j])
+            assert np.shares_memory(a.residues, ksk.stack[1, j])
+    if rebuild:
+        for galois, ksk in keys.rotations.items():
+            assert np.array_equal(ksk.stack, ctx.keys.rotations[galois].stack)
+        assert serialize_eval_keys(keys) == serialize_eval_keys(ctx.keys)
+
+
+def _gathered_inner_product(ev, digits, ksk, level):
+    """The inner product as it was before keys were read through views:
+    rows gathered with a fancy index into a fresh ``(2, level+1, K', N)``
+    copy, one fused pass over it."""
+    ext = ev._extended_basis(level)
+    idx = list(range(level + 1)) + list(
+        range(len(ev.cipher_basis), len(ev.key_basis)))
+    keys = np.stack([
+        [ksk.pairs[j][h].residues[idx] for j in range(level + 1)]
+        for h in range(2)
+    ])
+    assert not np.shares_memory(keys, ksk.stack)
+    q = ext.moduli_col[None, None, :, :]
+    prods = modmath.mul_mod(digits[None, :, :, :], keys, q)
+    acc = modmath.mod_reduce(np.add.reduce(prods, axis=1), ext.moduli_col)
+    return (RnsPoly(ext, acc[0], is_ntt=True),
+            RnsPoly(ext, acc[1], is_ntt=True))
+
+
+def test_key_switch_at_every_level_matches_gathered_reference(
+        ctx, monkeypatch):
+    rng = np.random.default_rng(3)
     ev = ctx.evaluator
-    galois = rotation_galois_element(1, N)
-    ksk = ctx.keys.rotations[galois]
-    top = ev.params.max_level
-    stack_top = ev._restricted_ksk(ksk, top)
-    assert ev._restricted_ksk(ksk, top) is stack_top  # cache hit
-    stack_low = ev._restricted_ksk(ksk, top - 1)
-    assert stack_low is not stack_top  # level is part of the cache key
-    assert stack_low.shape[1] == top  # level+1 digits
-    assert stack_top.shape[1] == top + 1
-    other = ctx.keys.rotations[rotation_galois_element(2, N)]
-    assert ev._restricted_ksk(other, top) is not stack_top
-    assert (id(ksk), top) in ev._ksk_cache
-    # cached entry pins the key object itself, guarding id() reuse
-    assert ev._ksk_cache[(id(ksk), top)][0] is ksk
+    ct = ctx.encrypt(rng.uniform(-1, 1, SLOTS))
+    other = ctx.encrypt(rng.uniform(-1, 1, SLOTS))
+    steps = [1, 6, SLOTS - 1]
+
+    def run_ops(a, b):
+        hoisted = ev.rotate_hoisted(a, steps)
+        # a 3-part ciphertext built by hand: multiply refuses level 0,
+        # and only the bits of the key switch matter here
+        cipher3 = Ciphertext([*a.parts, b.parts[1]], a.scale)
+        return [ev.rotate(a, 5), *(hoisted[s] for s in steps),
+                ev.relinearize(cipher3), ev.conjugate(a)]
+
+    for level in range(ev.params.max_level + 1):
+        a, b = ev.mod_switch_to(ct, level), ev.mod_switch_to(other, level)
+        got = run_ops(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ev, "_inner_product",
+                lambda digits, ksk, lvl: _gathered_inner_product(
+                    ev, digits, ksk, lvl))
+            want = run_ops(a, b)
+        assert all(c.level == level for c in got)
+        for g, w in zip(got, want):
+            assert _cipher_equal(g, w)
+
+
+def test_rotations_retain_less_than_one_key():
+    degree = 512
+    params = CkksParameters(poly_degree=degree, scale_bits=30,
+                            first_prime_bits=40, num_levels=3)
+    steps = [1, 2, 3, 4]
+    wide = CkksContext(params, rotation_steps=steps + [5], seed=5)
+    ev = wide.evaluator
+    one_key = next(iter(wide.keys.rotations.values())).byte_size()
+    ct = wide.encrypt(np.linspace(-1, 1, degree // 2))
+    levels = [ev.mod_switch_to(ct, lvl) for lvl in (3, 2, 1)]
+    for a in levels:
+        # a fifth key fills what is kept per level and not per key
+        # (extended bases, NTT tables, kernel packs)
+        ev.rotate(a, 5)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for a in levels:
+            for step in steps:
+                ev.rotate(a, step)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < one_key
 
 
 def test_rotation_results_unaffected_by_cache_reuse(ctx):
@@ -110,7 +199,7 @@ def test_rotation_results_unaffected_by_cache_reuse(ctx):
     ev = ctx.evaluator
     ct = ctx.encrypt(msg)
     first = ev.rotate(ct, 3)
-    again = ev.rotate(ct, 3)  # second call hits the ksk cache
+    again = ev.rotate(ct, 3)
     assert _cipher_equal(first, again)
     lower = ev.mod_switch(ct, 1)
     rotated_low = ev.rotate(lower, 3)  # same key, restricted to fewer limbs

@@ -8,7 +8,7 @@ from repro.ckks import CkksParameters
 from repro.ckks.cipher import Ciphertext
 from repro.compiler import ACECompiler, CompileOptions
 from repro.onnx import OnnxGraphBuilder, load_model_bytes, model_to_bytes
-from repro.runtime.poly_interp import run_poly_function
+from repro.runtime.poly_interp import PolyInterpreter, run_poly_function
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +73,30 @@ def test_poly_execution_matches_ckks_interpreter(setup):
     )
     assert np.allclose(ckks_out, poly_out, atol=5e-3)
     assert np.allclose(poly_out, expected, atol=5e-2)
+
+
+def test_key_reads_take_level_rows_in_one_copy(setup):
+    program, backend, _x, _expected = setup
+    ev = backend.ev
+    num_cipher, key_limbs = len(ev.cipher_basis), len(ev.key_basis)
+
+    def check(got, ksk, part, digit, level):
+        idx = list(range(level + 1)) + list(range(num_cipher, key_limbs))
+        assert got.basis.moduli == ev._extended_basis(level).moduli
+        assert np.array_equal(got.residues, ksk.stack[part, digit][idx])
+        # a copy the program may overwrite, made once from views of the key
+        assert got.residues.flags.owndata
+        assert not np.shares_memory(got.residues, ksk.stack)
+
+    poly_fn = program.module.functions["main_poly"]
+    interp = PolyInterpreter(backend, program.module)
+    load = next(op for op in poly_fn.body if op.opcode == "poly.load_key"
+                and op.attrs["key"].startswith("rot_"))
+    ksk = backend.ctx.keys.rotation_key(int(load.attrs["key"][4:]))
+    part, digit = load.attrs["part"], load.attrs["digit"]
+    level = load.attrs["limbs"] - 1 - ev.params.num_special_primes
+    check(interp._load_key(load), ksk, part, digit, level)
+    for level in range(ev.params.max_level + 1):
+        for part in range(2):
+            poly = ksk.pairs[level][part]
+            check(ev._restrict_key_poly(poly, level), ksk, part, level, level)

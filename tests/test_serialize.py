@@ -1,5 +1,8 @@
 """Ciphertext serialisation tests (the Figure-2 wire format)."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -274,6 +277,16 @@ def test_eval_keys_reject_corruption_and_foreign_params(keyed_ctx):
     with pytest.raises(DeserializationError):
         deserialize_eval_keys(bytes(garbled),
                               *keyed_ctx.params.make_bases())
+    # a digit count that disagrees with the chain would size the key array
+    (length,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + length])
+    for hostile_digits in (-1, meta["num_cipher_primes"] + 1):
+        header = json.dumps(
+            {**meta, "num_cipher_primes": hostile_digits}).encode()
+        hostile = (blob[:8] + struct.pack("<I", len(header)) + header
+                   + blob[12 + length:])
+        with pytest.raises(DeserializationError):
+            deserialize_eval_keys(hostile, *keyed_ctx.params.make_bases())
     foreign = CkksParameters(poly_degree=128, scale_bits=32,
                              first_prime_bits=42, num_levels=3)
     with pytest.raises(ParameterError):
