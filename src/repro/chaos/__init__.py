@@ -182,7 +182,7 @@ class ChaosPlan:
         """A conservative plan every containment layer can heal.
 
         Only sites whose faults the stack recovers from end-to-end
-        (client retry, batch bisection) — suitable for running a whole
+        (client retry, batch repack) — suitable for running a whole
         test suite under (the CI chaos job does exactly that).
         """
         return cls(seed, {

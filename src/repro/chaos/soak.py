@@ -1,20 +1,20 @@
 """Chaos soak: a seeded, long-running overload + fault scenario.
 
-The point of the serving layer's containment machinery — AIMD load
-shedding, deadline-aware batching, partial-batch re-packing, breakers,
+The point of the serving layer's containment machinery — a bounded
+queue, deadline-aware batching, partial-batch re-packing, breakers,
 typed transient errors — is what happens over *minutes* of sustained
 overload with faults firing, not in one unit test.  This module runs
 exactly that scenario against an in-process serving stack and reports
 whether containment held:
 
-1. **calibrate** — closed-loop, no chaos, no shedding: measure the
-   stack's single-load capacity (requests/sec) and unloaded p95;
+1. **calibrate** — closed-loop, no chaos: measure the stack's
+   single-load capacity (requests/sec) and unloaded p95;
 2. **soak** — open-loop arrivals at ``overload x capacity`` for
    ``duration_s`` with a seeded :class:`~repro.chaos.ChaosPlan`
-   installed and shedding enabled, every request carrying a deadline
-   derived from the unloaded p95;
+   installed, every request carrying a deadline derived from the
+   unloaded p95;
 3. **report** — classify every outcome (good = replied inside its
-   deadline; shed / queue-full / circuit-open backpressure; timeouts;
+   deadline; queue-full / circuit-open backpressure; timeouts;
    transient vs non-transient failures) next to the chaos events that
    fired.
 
@@ -22,8 +22,8 @@ The invariants a healthy stack maintains (gated by
 ``benchmarks/bench_overload.py`` and the CI soak job):
 
 * goodput stays >= 70% of calibrated capacity despite 3x offered load;
-* admitted requests' p95 stays <= 2x the unloaded p95 (the shedder
-  keeps the queue short instead of letting everyone wait);
+* admitted requests' p95 stays <= 2x the unloaded p95 (set by
+  ``queue_size / capacity``: a shorter queue buys latency with goodput);
 * zero non-transient client errors — overload and faults surface only
   as typed transient rejections a client can back off on.
 
@@ -59,28 +59,24 @@ class SoakConfig:
     workers: int = 2
     #: small on purpose: bounds worst-case queue delay to roughly
     #: ``queue_size / capacity`` so admitted requests can still meet
-    #: their deadlines; overload beyond it is shed, not buffered
+    #: their deadlines; overload beyond it is refused, not buffered
     queue_size: int = 32
     max_batch: int = 8
     #: closed-loop requests used to measure capacity / unloaded p95
     calibration_requests: int = 48
     #: chaos spec for the soak phase (None = :func:`soak_plan`)
     chaos_spec: str | None = None
-    shed_policy: str = "aimd"
-    repack: bool = True
     #: request deadline as a multiple of the unloaded p95
     deadline_factor: float = 8.0
-    #: admission controller latency target as a multiple of unloaded p95
-    target_factor: float = 1.5
 
 
 def soak_plan(seed: int) -> chaos.ChaosPlan:
     """The default soak fault mix: every site is containable in-process.
 
     Poisoned requests exercise partial-batch re-packing, executor job
-    exceptions exercise bisection/breaker accounting, and backend
-    latency spikes push the p95 signal the admission controller sheds
-    on.  Wire sites are omitted — the soak drives the worker directly,
+    exceptions exercise fail-the-batch/breaker accounting, and backend
+    latency spikes stretch executions under the deadline drop.  Wire
+    sites are omitted — the soak drives the worker directly,
     so there is no client socket for them to break.
     """
     return chaos.ChaosPlan(seed, {
@@ -91,8 +87,7 @@ def soak_plan(seed: int) -> chaos.ChaosPlan:
     })
 
 
-def build_soak_registry(max_batch: int = 8, repack: bool = True,
-                        align_levels: bool = False) -> tuple:
+def build_soak_registry(max_batch: int = 8) -> tuple:
     """A small GEMM model that tiles ``max_batch`` requests per ciphertext.
 
     Same shape as the serving throughput benchmark: 24 features into 3
@@ -113,7 +108,7 @@ def build_soak_registry(max_batch: int = 8, repack: bool = True,
     params = CkksParameters(poly_degree=1024, scale_bits=30,
                             first_prime_bits=40, num_levels=4)
     registry.register("gemm", model, params=params, max_batch=max_batch,
-                      seed=7, repack=repack, align_levels=align_levels)
+                      seed=7)
     return registry, weights
 
 
@@ -125,7 +120,7 @@ def _fresh_cts(entry, count: int, seed: int) -> list:
 
 
 def calibrate(entry, config: SoakConfig) -> dict:
-    """Closed-loop, chaos-free, shed-free capacity + unloaded p95."""
+    """Closed-loop, chaos-free capacity + unloaded p95."""
     cts = _fresh_cts(entry, config.calibration_requests, config.seed)
     metrics = Metrics()
     with InferenceWorker(metrics=metrics, num_threads=config.workers,
@@ -162,8 +157,6 @@ def _classify(ok: bool, error: str | None) -> str:
     cls = getattr(errors_mod, error or "", None)
     if not (isinstance(cls, type) and issubclass(cls, errors_mod.ReproError)):
         return "non_transient"
-    if cls is errors_mod.OverloadShedError:
-        return "shed"
     if cls is errors_mod.QueueFullError:
         return "queue_full"
     if cls is errors_mod.CircuitOpenError:
@@ -182,12 +175,10 @@ def run_soak(config: SoakConfig | None = None, entry=None) -> dict:
     """
     config = config or SoakConfig()
     if entry is None:
-        registry, _ = build_soak_registry(max_batch=config.max_batch,
-                                          repack=config.repack)
+        registry, _ = build_soak_registry(max_batch=config.max_batch)
         entry = registry.get("gemm")
     cal = calibrate(entry, config)
     deadline_s = max(0.25, config.deadline_factor * cal["unloaded_p95_s"])
-    target_p95_s = max(0.05, config.target_factor * cal["unloaded_p95_s"])
     offered_rps = max(1.0, config.overload * cal["capacity_rps"])
     total = max(1, int(offered_rps * config.duration_s))
     cts = _fresh_cts(entry, min(total, 64), config.seed + 1)
@@ -206,9 +197,6 @@ def run_soak(config: SoakConfig | None = None, entry=None) -> dict:
                 queue_size=config.queue_size,
                 max_wait_s=0.05,
                 request_timeout_s=deadline_s,
-                shed_policy=config.shed_policy,
-                shed_max_rate=max(8.0, 2.0 * cal["capacity_rps"]),
-                shed_target_p95_s=target_p95_s,
             ) as worker, \
             ThreadPoolExecutor(max_workers=16,
                                thread_name_prefix="soak-wait") as waiters:
@@ -259,7 +247,6 @@ def run_soak(config: SoakConfig | None = None, entry=None) -> dict:
         "config": asdict(config),
         **cal,
         "deadline_s": deadline_s,
-        "target_p95_s": target_p95_s,
         "offered_rps": offered_rps,
         "sent": total,
         "elapsed_s": elapsed,
@@ -280,8 +267,8 @@ def run_soak(config: SoakConfig | None = None, entry=None) -> dict:
         },
         "metrics": {
             name: counters.get(name, 0)
-            for name in ("serve_shed_total", "serve_deadline_miss_total",
-                         "serve_batch_repacks", "serve_batch_bisections",
+            for name in ("serve_deadline_miss_total",
+                         "serve_batch_repacks",
                          "serve_requests_total",
                          "serve_requests_rejected_total")
         },
@@ -305,7 +292,7 @@ def render(report: dict) -> str:
         "",
         "outcomes:",
     ]
-    for bucket in ("good", "late", "shed", "queue_full", "circuit_open",
+    for bucket in ("good", "late", "queue_full", "circuit_open",
                    "timeout", "transient", "non_transient"):
         count = report["outcomes"].get(bucket, 0)
         if count:
@@ -318,8 +305,7 @@ def render(report: dict) -> str:
         f"({report['admitted_p95_over_unloaded']:.2f}x unloaded)",
         f"chaos events:       {report['chaos']['events']} "
         f"{report['chaos']['fired']}",
-        f"repacks/bisections: {report['metrics']['serve_batch_repacks']:g}/"
-        f"{report['metrics']['serve_batch_bisections']:g}",
+        f"repacks:            {report['metrics']['serve_batch_repacks']:g}",
         f"non-transient:      {report['non_transient_errors']}",
         f"containment:        "
         f"{'HELD' if report['contained'] else 'BROKEN'}",

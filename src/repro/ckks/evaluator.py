@@ -221,10 +221,10 @@ class CkksEvaluator:
 
         Dropping a plaintext's trailing RNS limbs is exact (no noise, no
         scale change), so a program whose inputs entered below the
-        planned level — e.g. a level-aligned batch
-        (:func:`repro.serve.batcher.align_to_common_level`) — can still
-        consume constants encoded at the planned level.  A plaintext
-        *below* the ciphertext stays an error: limbs cannot be invented.
+        planned level — e.g. a served request its client encrypted
+        below the top level — can still consume constants encoded at
+        the planned level.  A plaintext *below* the ciphertext stays an
+        error: limbs cannot be invented.
         """
         extra = len(plain.poly.basis) - len(a.basis)
         if extra <= 0:

@@ -256,34 +256,11 @@ def _install_kernel(args) -> None:
 
 def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", default=None,
-                        choices=("numpy", "numba", "cuda", "pyloops",
-                                 "auto"),
+                        choices=("numpy", "numba", "pyloops", "auto"),
                         help="NTT/RNS kernel backend (default: "
                              "$REPRO_KERNEL or numpy); 'auto' probes "
-                             "cuda then numba and falls back to numpy "
-                             "with a warning")
-
-
-def _add_overload_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shed-policy", default="aimd",
-                        choices=("off", "aimd"),
-                        help="overload admission control: 'aimd' sheds "
-                             "excess load with a typed transient error "
-                             "when the latency/deadline signal degrades "
-                             "(default), 'off' admits everything the "
-                             "queue can hold")
-    parser.add_argument("--shed-target-p95-s", type=float, default=None,
-                        help="latency target for the AIMD signal; a "
-                             "windowed p95 above it backs admission off "
-                             "even without deadline misses")
-    parser.add_argument("--repack", action="store_true",
-                        help="on a poisoned batch, re-pack the healthy "
-                             "B-1 requests into one batch instead of "
-                             "bisecting to singletons")
-    parser.add_argument("--align-levels", action="store_true",
-                        help="mod-switch same-scale requests at "
-                             "different levels to a common level so "
-                             "they can share one batch ciphertext")
+                             "numba and falls back to numpy with a "
+                             "warning")
 
 
 def _run(args) -> int:
@@ -315,17 +292,6 @@ def _run(args) -> int:
     return 0
 
 
-def _jobs_arg(value: str):
-    """``--jobs`` accepting an integer or the literal ``auto``."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}") from None
-
-
 def _serve_params(args):
     from repro.ckks import CkksParameters
 
@@ -352,7 +318,6 @@ def _serve(args) -> int:
         entry = registry.register(
             model_id, str(args.model), params=_serve_params(args),
             max_batch=args.batch_size, seed=args.seed,
-            repack=args.repack, align_levels=args.align_levels,
             layout_tune=args.layout_tune,
         )
     # shard mode: an empty server whose models (and secret-free
@@ -364,8 +329,6 @@ def _serve(args) -> int:
         max_wait_s=args.max_wait_ms / 1000.0,
         request_timeout_s=args.timeout_s,
         exec_jobs=args.jobs,
-        shed_policy=args.shed_policy,
-        shed_target_p95_s=args.shed_target_p95_s,
     )
     if args.shard:
         print(f"shard ready on {server.host}:{server.port} "
@@ -399,8 +362,6 @@ def _router(args) -> int:
         shard_jobs=args.jobs,
         shard_mem_budget=args.mem_budget,
         shard_kernel=args.kernel,
-        shard_shed_policy=args.shed_policy,
-        shard_shed_target_p95_s=args.shed_target_p95_s,
     )
     try:
         for index, path in enumerate(args.models):
@@ -408,7 +369,6 @@ def _router(args) -> int:
             spec = router.add_model(
                 model_id, path, params=_serve_params(args),
                 max_batch=args.batch_size, seed=args.seed + index,
-                repack=args.repack, align_levels=args.align_levels,
             )
             shard = router.placement.shard_of(model_id)
             print(f"model {model_id!r}: {spec.key_bytes} key bytes "
@@ -462,8 +422,6 @@ def _soak(args) -> int:
         overload=args.overload,
         workers=args.workers,
         chaos_spec=args.chaos_spec,
-        shed_policy=args.shed_policy,
-        repack=not args.no_repack,
     )
     report = soak.run_soak(config)
     print(soak.render(report))
@@ -526,11 +484,10 @@ def main(argv=None) -> int:
     p_serve.add_argument("--scale-bits", type=int, default=30)
     p_serve.add_argument("--first-prime-bits", type=int, default=40)
     p_serve.add_argument("--levels", type=int, default=4)
-    p_serve.add_argument("--jobs", type=_jobs_arg, default=None,
+    p_serve.add_argument("--jobs", type=int, default=None,
                          help="executor threads shared across workers for "
-                              "op-level parallelism; 'auto' sizes the "
-                              "shared budget from schedule width x batch "
-                              "occupancy (default: $REPRO_JOBS or 1)")
+                              "op-level parallelism (default: $REPRO_JOBS "
+                              "or 1)")
     p_serve.add_argument("--layout-tune", default="heuristic",
                          choices=("heuristic", "search"),
                          help="layout/BSGS autotuning for the served "
@@ -538,7 +495,6 @@ def main(argv=None) -> int:
                               "once at startup")
     p_serve.add_argument("--port-file", default=None,
                          help="write the bound port here once listening")
-    _add_overload_options(p_serve)
     _add_kernel_option(p_serve)
     _add_chaos_options(p_serve)
     p_serve.set_defaults(fn=_serve)
@@ -576,7 +532,6 @@ def main(argv=None) -> int:
     p_router.add_argument("--levels", type=int, default=4)
     p_router.add_argument("--port-file", default=None,
                           help="write the bound port here once listening")
-    _add_overload_options(p_router)
     _add_kernel_option(p_router)
     _add_chaos_options(p_router)
     p_router.set_defaults(fn=_router)
@@ -606,11 +561,6 @@ def main(argv=None) -> int:
     p_soak.add_argument("--workers", type=int, default=2)
     p_soak.add_argument("--chaos-spec", default=None,
                         help="override the built-in soak fault plan")
-    p_soak.add_argument("--shed-policy", default="aimd",
-                        choices=("off", "aimd"))
-    p_soak.add_argument("--no-repack", action="store_true",
-                        help="contain poisoned batches by bisection "
-                             "instead of partial-batch re-packing")
     p_soak.add_argument("--out", default=None,
                         help="also write the JSON report here")
     _add_kernel_option(p_soak)

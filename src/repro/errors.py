@@ -33,7 +33,7 @@ class KernelUnavailableError(ParameterError):
     """A requested kernel backend cannot run in this process.
 
     Raised when an explicitly named backend (``--kernel numba``,
-    ``REPRO_KERNEL=cuda``) is missing its dependency or hardware;
+    ``REPRO_KERNEL=numba``) is missing its dependency;
     ``--kernel auto`` never raises, it falls back to numpy instead.
     """
 
@@ -206,15 +206,3 @@ class CircuitOpenError(ServeError):
 
     transient = True
 
-
-class OverloadShedError(ServeError):
-    """The admission controller shed this request under overload.
-
-    Raised by the AIMD token-bucket admission layer when the model's
-    recent p95 latency / deadline-miss signal says accepting more work
-    would only convert goodput into timeouts.  Transient by definition:
-    the controller additively recovers as soon as latency drops, so a
-    client that backs off and retries is admitted again.
-    """
-
-    transient = True

@@ -4,7 +4,7 @@ Every hot kernel of :mod:`repro.polymath` — elementwise modular
 arithmetic, the negacyclic NTT cores (single-modulus and stacked
 per-row-moduli variants), and the base-conversion / rescale inner loops
 — goes through the narrow :class:`KernelBackend` interface defined here.
-Four implementations exist:
+Three implementations exist:
 
 * ``numpy`` — the float-reciprocal Barrett code this repo has always
   run on.  Always available, the default, and the bit-identity
@@ -14,9 +14,6 @@ Four implementations exist:
   128-bit Barrett reduction built from 64-bit words (no float quotient
   estimate), so its per-backend modulus ceiling rises past the shared
   50-bit floor.  Available when :mod:`numba` imports.
-* ``cuda`` — experimental CuPy backend; transforms run on the GPU in
-  the same vectorised passes as numpy.  Skipped cleanly when no GPU
-  (or no CuPy) is present.
 * ``pyloops`` — the *same* kernel source the numba backend compiles,
   executed as pure Python over object arrays.  Orders of magnitude
   slower; exists so the JIT arithmetic (128-bit Barrett, Shoup
@@ -25,8 +22,8 @@ Four implementations exist:
 
 Selection is process-global and runtime: ``--kernel`` on
 ``repro run/serve/router``, the ``REPRO_KERNEL`` environment variable,
-or :func:`set_backend`.  ``auto`` probes ``cuda`` then ``numba`` and
-falls back to ``numpy`` with a one-line warning.  Backends are
+or :func:`set_backend`.  ``auto`` probes ``numba`` and falls back to
+``numpy`` with a one-line warning.  Backends are
 **bit-identical** for all moduli within the shared
 :data:`repro.polymath.modmath.MAX_MODULUS_BITS` floor: every kernel
 computes exact integers mod q, so the same ciphertext bytes come out of
@@ -50,10 +47,10 @@ from repro.errors import KernelUnavailableError
 log = logging.getLogger("repro.kernels")
 
 #: Selection order probed by ``auto``.
-AUTO_ORDER = ("cuda", "numba", "numpy")
+AUTO_ORDER = ("numba", "numpy")
 
 #: Every registered backend name (``auto`` resolves to one of these).
-BACKEND_NAMES = ("numpy", "numba", "cuda", "pyloops")
+BACKEND_NAMES = ("numpy", "numba", "pyloops")
 
 
 class NttTables:
@@ -62,8 +59,8 @@ class NttTables:
     ``psi_rev``/``psi_inv_rev`` are ``(B, N)`` merged-psi tables in
     bit-reversed order (one row per modulus), ``q`` and ``n_inv`` are
     ``(B,)`` vectors.  Backends attach their own derived tables (numpy
-    broadcast views, numba Shoup/Barrett constants, device arrays)
-    through :meth:`extras`, memoised per backend under a double-checked
+    broadcast views, numba Shoup/Barrett constants) through
+    :meth:`extras`, memoised per backend under a double-checked
     lock; since :func:`repro.polymath.ntt.stacked_tables` memoises the
     ``NttTables`` themselves by ``(N, q_tuple)``, those derived tables
     are built once per process, not once per context construction.
@@ -199,16 +196,13 @@ _active: KernelBackend | None = None
 
 def _backend_class(name: str):
     # backends import lazily so `import repro` never pays for (or
-    # requires) numba/cupy
+    # requires) numba
     if name == "numpy":
         from repro.polymath.kernels.numpy_backend import NumpyBackend
         return NumpyBackend
     if name == "numba":
         from repro.polymath.kernels.numba_backend import NumbaBackend
         return NumbaBackend
-    if name == "cuda":
-        from repro.polymath.kernels.cuda_backend import CudaBackend
-        return CudaBackend
     if name == "pyloops":
         from repro.polymath.kernels.pyloops_backend import PyloopsBackend
         return PyloopsBackend

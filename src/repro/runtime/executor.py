@@ -152,20 +152,6 @@ class JobBudget:
             if self._available > self.limit:  # defensive: double release
                 self._available = self.limit
 
-    def resize(self, limit: int) -> None:
-        """Retarget the cap without disturbing outstanding grants.
-
-        Shrinking can drive ``_available`` negative; ``acquire`` then
-        grants the guaranteed single job until enough releases repay the
-        debt, so the budget converges to the new cap instead of
-        stranding threads.
-        """
-        if limit < 1:
-            raise ReproError(f"job budget must be >= 1, got {limit}")
-        with self._lock:
-            self._available += limit - self.limit
-            self.limit = limit
-
     @property
     def available(self) -> int:
         with self._lock:

@@ -12,11 +12,11 @@ serving subsystem:
   unused CKKS slot blocks of one ciphertext (one program execution
   serves the whole batch);
 * :mod:`repro.serve.worker` — bounded-queue thread pool with deadlines,
-  backpressure, deadline-aware batching, batch-failure containment
-  (partial-batch re-packing or singleton bisection), per-model circuit
-  breakers, AIMD load shedding and graceful shutdown;
+  backpressure (the only admission rule), deadline-aware batching,
+  batch-failure containment (named culprits fail alone and the rest
+  re-run once as one batch, otherwise the batch fails with its typed
+  error), per-model circuit breakers and graceful shutdown;
 * :mod:`repro.serve.breaker` — the three-state circuit breaker (failure
-  guard) and the AIMD token-bucket admission controller (overload
   guard);
 * :mod:`repro.serve.retry` — client-side capped exponential backoff;
 * :mod:`repro.serve.metrics` — request/batch/latency/byte accounting;
@@ -37,7 +37,7 @@ serving subsystem:
 Failure semantics (containment validated by :mod:`repro.chaos` fault
 injection — see "Failure model & chaos testing" in docs/INTERNALS.md):
 a poisoned request fails alone while its batchmates are re-executed
-individually; transient wire/server failures are healed by client-side
+once as one batch; transient wire/server failures are healed by client-side
 retry; a model whose executions keep failing trips a circuit breaker
 instead of burning worker threads.
 
@@ -55,12 +55,11 @@ Quick in-process use::
 from repro.serve.batcher import (
     BatchResult,
     PendingRequest,
-    align_to_common_level,
     can_join,
     combine_requests,
     execute_batch,
 )
-from repro.serve.breaker import AdmissionController, CircuitBreaker
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import (
     Histogram,
     Metrics,
@@ -85,7 +84,6 @@ from repro.serve.session import Session, SessionManager
 from repro.serve.worker import InferenceWorker, ServeResponse
 
 __all__ = [
-    "AdmissionController",
     "BatchResult",
     "CircuitBreaker",
     "Histogram",
@@ -109,7 +107,6 @@ __all__ = [
     "ShardServer",
     "SlidingWindow",
     "aggregate_counters",
-    "align_to_common_level",
     "can_join",
     "combine_requests",
     "default_serve_params",

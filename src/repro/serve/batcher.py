@@ -25,16 +25,6 @@ they target the same model entry, carry the same parameter fingerprint
 combined ciphertext is indistinguishable, to the compiled program, from
 one the program's own batch packer would have produced.  Anything else
 falls back to per-request execution.
-
-**Level alignment** (``ModelEntry.align_levels``): requests at the same
-scale but *different* levels may still share a ciphertext — a
-mod-switch-to-common-level pre-pass (:func:`align_to_common_level`)
-drops every member to the tightest member's level before combining.
-Mod-switch rounds each residue to a smaller basis without touching the
-scale, so the aligned batch satisfies the invariant above; the program
-simply starts with the fewest levels any member brought.  The knob
-defaults off because alignment spends the *whole batch's* depth budget
-on its weakest member.
 """
 
 from __future__ import annotations
@@ -62,7 +52,7 @@ class PendingRequest:
     enqueued_at: float = field(default_factory=time.monotonic)
     deadline: float | None = None
     # Chaos-marked at submit time; detonates inside execute_batch so the
-    # failure exercises the worker's batch-bisection containment.
+    # failure exercises the worker's repack containment.
     poisoned: bool = False
 
     def expired(self, now: float | None = None) -> bool:
@@ -85,8 +75,6 @@ def can_join(batch: list[PendingRequest], req: PendingRequest) -> bool:
 
     Enforces the slot-batching invariant documented in the module
     docstring; also refuses to grow past the compiled batch factor.
-    With ``entry.align_levels`` a level mismatch is joinable too — the
-    mod-switch pre-pass reconciles it at combine time.
     """
     if not batch:
         return True
@@ -99,27 +87,7 @@ def can_join(batch: list[PendingRequest], req: PendingRequest) -> bool:
     if req.fingerprint != head.fingerprint:
         return False
     a, b = head.ciphertext, req.ciphertext
-    if a.scale != b.scale:
-        return False
-    return a.level == b.level or entry.align_levels
-
-
-def align_to_common_level(entry: ModelEntry,
-                          requests: list[PendingRequest]) -> int:
-    """Mod-switch every member down to the tightest member's level.
-
-    Returns how many ciphertexts were switched.  A no-op (0) when the
-    batch is already level-homogeneous, so the common path pays one
-    ``min`` over the levels and nothing else.
-    """
-    target = min(req.ciphertext.level for req in requests)
-    switched = 0
-    backend = entry.backend
-    for req in requests:
-        if req.ciphertext.level > target:
-            req.ciphertext = backend.mod_switch_to(req.ciphertext, target)
-            switched += 1
-    return switched
+    return a.scale == b.scale and a.level == b.level
 
 
 def combine_requests(entry: ModelEntry, requests: list[PendingRequest]):
@@ -137,8 +105,7 @@ def execute_batch(entry: ModelEntry,
                   requests: list[PendingRequest],
                   jobs: int | None = None,
                   budget=None,
-                  watchdog_s: float | None = None,
-                  metrics=None) -> list[BatchResult]:
+                  watchdog_s: float | None = None) -> list[BatchResult]:
     """Run one program execution serving ``requests`` (1..max_batch).
 
     Returns one :class:`BatchResult` per request, in order.  The entry
@@ -154,8 +121,8 @@ def execute_batch(entry: ModelEntry,
 
     A poisoned-request failure carries ``culprit_request_id`` so the
     worker's partial-batch re-packing can fail the culprit alone and
-    re-execute the healthy remainder as one batch; failures without an
-    attributable culprit fall back to bisection.
+    re-execute the healthy remainder as one batch; a failure without an
+    attributable culprit fails the whole batch with its typed error.
     """
     for req in requests:
         if req.poisoned:
@@ -165,14 +132,7 @@ def execute_batch(entry: ModelEntry,
             exc.culprit_request_id = req.request_id
             raise exc
     with entry.lock:
-        if len(requests) == 1:
-            packed = requests[0].ciphertext
-        else:
-            if entry.align_levels:
-                switched = align_to_common_level(entry, requests)
-                if switched and metrics is not None:
-                    metrics.inc("serve_batch_level_aligns", switched)
-            packed = combine_requests(entry, requests)
+        packed = combine_requests(entry, requests)
         fn = entry.program.module.main()
         outs = run_ckks_function(entry.program.module, fn, entry.backend,
                                  [packed], check_plan=False,

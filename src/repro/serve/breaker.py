@@ -1,51 +1,32 @@
-"""Per-model admission control for the inference worker.
+"""Per-model circuit breaker for the inference worker.
 
-Two cooperating guards sit in front of every model's execution path:
+:class:`CircuitBreaker` is the *failure* guard in front of every
+model's execution path.  A model whose executions keep failing (bad key
+material, a poisoned compiled program, an injected chaos storm) should
+fail *fast* instead of burning a worker thread and a queue slot per
+doomed request.  Standard three-state breaker:
 
-* :class:`CircuitBreaker` — the *failure* guard.  A model whose
-  executions keep failing (bad key material, a poisoned compiled
-  program, an injected chaos storm) should fail *fast* instead of
-  burning a worker thread and a queue slot per doomed request.
-  Standard three-state breaker:
+- **closed** — requests flow; consecutive execution failures are
+  counted, successes reset the count;
+- **open** — after ``failure_threshold`` consecutive failures,
+  requests are rejected immediately with
+  :class:`repro.errors.CircuitOpenError` (transient, so well-behaved
+  clients back off and retry);
+- **half-open** — after ``reset_timeout_s`` one *probe* request is
+  let through; its success closes the breaker, its failure re-opens
+  it and restarts the timeout.
 
-  - **closed** — requests flow; consecutive execution failures are
-    counted, successes reset the count;
-  - **open** — after ``failure_threshold`` consecutive failures,
-    requests are rejected immediately with
-    :class:`repro.errors.CircuitOpenError` (transient, so well-behaved
-    clients back off and retry);
-  - **half-open** — after ``reset_timeout_s`` one *probe* request is
-    let through; its success closes the breaker, its failure re-opens
-    it and restarts the timeout.
-
-* :class:`AdmissionController` — the *overload* guard, replacing the
-  old all-or-nothing story for load.  A breaker can only reject
-  everything or nothing; sustained overload needs a dial, not a switch.
-  The controller is an AIMD token bucket: requests spend tokens, the
-  bucket refills at ``rate`` tokens/second, and ``rate`` moves the way
-  TCP's congestion window does —
-
-  - **multiplicative decrease** when the sliding latency/deadline
-    signal degrades (a deadline miss, or windowed p95 above target):
-    ``rate *= decrease`` (floored at ``floor_rate`` so admission never
-    wedges at zero — there is always a trickle probing for recovery);
-  - **additive increase** while the signal is healthy: ``rate +=
-    increase`` per adjustment interval, recovering to ``max_rate``.
-
-  A shed request is rejected with the typed, transient
-  :class:`repro.errors.OverloadShedError`; clients back off on it via
-  :mod:`repro.serve.retry` exactly as they do for backpressure.
+Load is not this module's job: the worker's bounded queue and deadline
+drop are the only admission rule (see :mod:`repro.serve.worker`).
 
 State transitions are serialised under one lock; ``clock`` is injectable
-so tests drive timeouts and AIMD trajectories without sleeping.
+so tests drive timeouts without sleeping.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-
-from repro.serve.metrics import SlidingWindow
 
 CLOSED = "closed"
 OPEN = "open"
@@ -121,146 +102,3 @@ class CircuitBreaker:
         self._failures = 0
         self._opened_at = self._clock()
         self._probe_inflight = False
-
-
-class AdmissionController:
-    """AIMD token-bucket load shedder guarding one model.
-
-    Args:
-        max_rate: admission ceiling, tokens (requests) per second.
-        floor_rate: admission floor; the rate never drops below it, so
-            a drained bucket always refills and the controller keeps
-            probing for recovery instead of wedging shut.
-        increase: additive recovery, tokens/second added per healthy
-            adjustment interval.
-        decrease: multiplicative backoff factor applied on a degraded
-            interval (0 < decrease < 1).
-        target_p95_s: latency target; a windowed p95 above it counts as
-            a degraded signal even with no outright deadline miss.
-            ``None`` disables the latency term (misses still count).
-        signal_window_s: sliding window the p95/miss signal is computed
-            over.
-        adjust_interval_s: how often the AIMD step may fire; between
-            steps the rate holds still (hysteresis — one bad batch
-            cannot halve the rate five times).
-        clock: injectable monotonic clock for deterministic tests.
-    """
-
-    def __init__(
-        self,
-        max_rate: float = 256.0,
-        floor_rate: float = 2.0,
-        increase: float = 8.0,
-        decrease: float = 0.5,
-        target_p95_s: float | None = None,
-        signal_window_s: float = 5.0,
-        adjust_interval_s: float = 0.25,
-        burst_s: float = 1.0,
-        clock=time.monotonic,
-    ):
-        if max_rate <= 0:
-            raise ValueError("max_rate must be > 0")
-        if not 0 < floor_rate <= max_rate:
-            raise ValueError("need 0 < floor_rate <= max_rate")
-        if not 0 < decrease < 1:
-            raise ValueError("decrease must be in (0, 1)")
-        self.max_rate = float(max_rate)
-        self.floor_rate = float(floor_rate)
-        self.increase = float(increase)
-        self.decrease = float(decrease)
-        self.target_p95_s = target_p95_s
-        self.adjust_interval_s = adjust_interval_s
-        self.burst_s = burst_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self.rate = self.max_rate
-        self._tokens = self.max_rate * burst_s
-        self._refilled_at = clock()
-        self._adjusted_at = clock()
-        self._latency = SlidingWindow(window_s=signal_window_s, clock=clock)
-        self._misses = SlidingWindow(window_s=signal_window_s, clock=clock)
-        # evidence accumulated since the last AIMD step: each interval
-        # is judged on its own observations, so one bad burst halves the
-        # rate exactly once and a recovered system resumes additive
-        # increase immediately instead of serving a 5s-window sentence
-        self._interval_latencies: list[float] = []
-        self._interval_misses = 0
-        self.shed_total = 0
-        self.admitted_total = 0
-
-    # -- token bucket -------------------------------------------------------
-
-    def _refill(self, now: float) -> None:
-        # caller holds the lock
-        elapsed = max(0.0, now - self._refilled_at)
-        self._refilled_at = now
-        burst = max(1.0, self.rate * self.burst_s)
-        self._tokens = min(burst, self._tokens + elapsed * self.rate)
-
-    def try_acquire(self, cost: float = 1.0) -> bool:
-        """Admit one request? Spends ``cost`` tokens when admitted."""
-        with self._lock:
-            now = self._clock()
-            self._maybe_adjust(now)
-            self._refill(now)
-            if self._tokens >= cost:
-                self._tokens -= cost
-                self.admitted_total += 1
-                return True
-            self.shed_total += 1
-            return False
-
-    # -- signal -------------------------------------------------------------
-
-    def observe(self, latency_s: float, deadline_missed: bool = False) -> None:
-        """Feed one completed (or expired) request into the signal."""
-        with self._lock:
-            now = self._clock()
-            self._latency.observe(latency_s, now)
-            if len(self._interval_latencies) < 1024:
-                self._interval_latencies.append(latency_s)
-            if deadline_missed:
-                self._misses.observe(1.0, now)
-                self._interval_misses += 1
-            self._maybe_adjust(now)
-
-    def _degraded(self) -> bool:
-        # caller holds the lock; judged on this interval's evidence only
-        if self._interval_misses > 0:
-            return True
-        if self.target_p95_s is not None and self._interval_latencies:
-            values = sorted(self._interval_latencies)
-            rank = min(len(values) - 1, round(0.95 * (len(values) - 1)))
-            return values[rank] > self.target_p95_s
-        return False
-
-    def _maybe_adjust(self, now: float) -> None:
-        # caller holds the lock; at most one AIMD step per interval
-        if now - self._adjusted_at < self.adjust_interval_s:
-            return
-        self._adjusted_at = now
-        if self._degraded():
-            self.rate = max(self.floor_rate, self.rate * self.decrease)
-            # a decrease drains standing burst credit too: the bucket
-            # must not keep admitting at the old rate's burst allowance
-            self._refill(now)
-            burst = max(1.0, self.rate * self.burst_s)
-            self._tokens = min(self._tokens, burst)
-        else:
-            self.rate = min(self.max_rate, self.rate + self.increase)
-        self._interval_latencies.clear()
-        self._interval_misses = 0
-
-    # -- introspection ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            now = self._clock()
-            return {
-                "rate": self.rate,
-                "tokens": self._tokens,
-                "p95_s": self._latency.percentile(95, now),
-                "recent_misses": self._misses.count(now),
-                "shed_total": self.shed_total,
-                "admitted_total": self.admitted_total,
-            }

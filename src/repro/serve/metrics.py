@@ -68,10 +68,11 @@ class SlidingWindow:
 
     Unlike :class:`Histogram` (which rings over *insertion order*), this
     window forgets by *age*: only observations younger than ``window_s``
-    count.  That is the signal shape the admission controller needs — a
-    latency spike five minutes ago must not keep shedding load now.  The
-    clock is injectable so controller tests advance time without
-    sleeping.  Not thread-safe on its own; callers hold their own lock.
+    count.  That is the shape a *current* rate needs
+    (``serve_goodput_rps``) — what happened five minutes ago must not
+    colour the reading now.  The clock is injectable so tests advance
+    time without sleeping.  Not thread-safe on its own; callers hold
+    their own lock.
     """
 
     def __init__(self, window_s: float = 5.0, max_samples: int = 2048,
@@ -123,7 +124,7 @@ def aggregate_counters(snapshots: list[dict],
     """Sum selected counters/gauges across metrics ``snapshot()`` dicts.
 
     The scale-out router uses this to fold its shards' overload metrics
-    (shed totals, goodput, repacks, deadline misses) into one aggregated
+    (goodput, repacks, deadline misses) into one aggregated
     reply; missing names count as zero so a freshly spawned shard does
     not poison the sum.
     """

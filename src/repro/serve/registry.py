@@ -73,13 +73,6 @@ class ModelEntry:
     #: tolerates more consecutive failures before opening
     breaker_failures: int | None = None
     breaker_reset_s: float | None = None
-    #: partial-batch re-packing: when a batch fails with an attributable
-    #: culprit, fail the culprit alone and re-execute the healthy B-1 as
-    #: *one* batch (1 extra execution) instead of bisecting to singletons
-    repack: bool = False
-    #: allow requests at different levels (same scale) to share a
-    #: ciphertext via a mod-switch-to-common-level pre-pass
-    align_levels: bool = False
     #: serialisation lock: the backend's evaluator is shared by workers
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -203,8 +196,6 @@ class ModelRegistry:
         seed: int = 0,
         breaker_failures: int | None = None,
         breaker_reset_s: float | None = None,
-        repack: bool = False,
-        align_levels: bool = False,
         eval_keys: bytes | None = None,
         layout_tune: str | None = None,
     ) -> ModelEntry:
@@ -223,11 +214,6 @@ class ModelRegistry:
                 ``eval_keys`` is given.
             breaker_failures / breaker_reset_s: per-model circuit-breaker
                 overrides applied by the worker (None = worker defaults).
-            repack: contain a batch failure by re-executing the healthy
-                B-1 requests as one batch when the failure names a
-                culprit (falls back to bisection when it does not).
-            align_levels: let requests at different levels share a batch
-                via a mod-switch-to-common-level pre-pass.
             eval_keys: serialized public/evaluation keys
                 (:func:`repro.ckks.serialize.serialize_eval_keys`).  The
                 real key exchange: the entry evaluates under the shipped
@@ -280,8 +266,6 @@ class ModelRegistry:
             keygen_seed=keygen_seed,
             breaker_failures=breaker_failures,
             breaker_reset_s=breaker_reset_s,
-            repack=repack,
-            align_levels=align_levels,
         )
         if entry.supports_batching:
             if eval_keys is not None:

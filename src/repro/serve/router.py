@@ -75,7 +75,6 @@ SPAWN_TIMEOUT_S = 30.0
 
 #: overload counters summed across shards in the router's ``metrics`` op
 OVERLOAD_METRICS = (
-    "serve_shed_total",
     "serve_goodput_rps",
     "serve_batch_repacks",
     "serve_deadline_miss_total",
@@ -123,9 +122,6 @@ class ModelSpec:
     key_bytes: int
     fingerprint: str
     describe: dict
-    #: worker containment knobs forwarded to the owning shard
-    repack: bool = False
-    align_levels: bool = False
 
 
 @dataclass
@@ -223,9 +219,7 @@ class ShardHandle:
                  pool_size: int = 4, timeout_s: float = 60.0,
                  workers: int = 2, exec_jobs: int | None = None,
                  mem_budget: int | None = None,
-                 kernel: str | None = None,
-                 shed_policy: str | None = None,
-                 shed_target_p95_s: float | None = None):
+                 kernel: str | None = None):
         self.index = index
         self.host = host
         self.pool_size = pool_size
@@ -234,8 +228,6 @@ class ShardHandle:
         self.exec_jobs = exec_jobs
         self.mem_budget = mem_budget
         self.kernel = kernel
-        self.shed_policy = shed_policy
-        self.shed_target_p95_s = shed_target_p95_s
         #: backend the shard reported at registration (its own resolution
         #: of the requested kernel, e.g. ``auto`` -> ``numpy``)
         self.kernel_backend: str | None = None
@@ -283,10 +275,6 @@ class ShardHandle:
             cmd += ["--jobs", str(self.exec_jobs)]
         if self.kernel is not None:
             cmd += ["--kernel", self.kernel]
-        if self.shed_policy is not None:
-            cmd += ["--shed-policy", self.shed_policy]
-        if self.shed_target_p95_s is not None:
-            cmd += ["--shed-target-p95-s", str(self.shed_target_p95_s)]
         self.proc = subprocess.Popen(
             cmd, env=self._child_env(),
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -370,11 +358,9 @@ class RouterServer(FrameServer):
             are evicted (their keys dropped) first.  None = unbounded.
         pool_size: connections kept to each shard; bounds the forwards
             in flight per shard whatever the client connection count.
-        shard_workers / shard_jobs / shard_mem_budget / shard_kernel /
-        shard_shed_policy / shard_shed_target_p95_s:
+        shard_workers / shard_jobs / shard_mem_budget / shard_kernel:
             forwarded to each shard (worker threads, executor jobs,
-            REPRO_MEM_BUDGET, ``--kernel`` backend choice, the
-            ``--shed-*`` overload options).
+            REPRO_MEM_BUDGET, ``--kernel`` backend choice).
     """
 
     def __init__(
@@ -391,8 +377,6 @@ class RouterServer(FrameServer):
         shard_jobs: int | None = None,
         shard_mem_budget: int | None = None,
         shard_kernel: str | None = None,
-        shard_shed_policy: str | None = None,
-        shard_shed_target_p95_s: float | None = None,
     ):
         super().__init__(host, port, metrics, max_message_bytes)
         self.placement = KeyMemoryPlacement(num_shards, key_budget)
@@ -406,9 +390,7 @@ class RouterServer(FrameServer):
                         timeout_s=request_timeout_s, workers=shard_workers,
                         exec_jobs=shard_jobs,
                         mem_budget=shard_mem_budget,
-                        kernel=shard_kernel,
-                        shed_policy=shard_shed_policy,
-                        shed_target_p95_s=shard_shed_target_p95_s)
+                        kernel=shard_kernel)
             for index in range(num_shards)
         ]
         try:
@@ -422,9 +404,7 @@ class RouterServer(FrameServer):
     # -- model management --------------------------------------------------
 
     def add_model(self, model_id: str, model, params=None,
-                  max_batch: int = 4, seed: int = 0,
-                  repack: bool = False,
-                  align_levels: bool = False) -> ModelSpec:
+                  max_batch: int = 4, seed: int = 0) -> ModelSpec:
         """Compile ``model`` once, build its key blob, and place +
         register it on a shard right away.
 
@@ -455,8 +435,6 @@ class RouterServer(FrameServer):
             key_bytes=entry.key_bytes,
             fingerprint=entry.fingerprint,
             describe=entry.describe(),
-            repack=repack,
-            align_levels=align_levels,
         )
         scratch.unregister(model_id)  # drop the backend + its key memory
         with self._specs_lock:
@@ -509,8 +487,6 @@ class RouterServer(FrameServer):
             "params": spec.params_describe,
             "secret_hamming_weight": spec.secret_hamming_weight,
             "max_batch": spec.max_batch,
-            "repack": spec.repack,
-            "align_levels": spec.align_levels,
             "model_bytes": len(spec.model_bytes),
         }
         reply, _ = shard.rpc(header, spec.model_bytes + spec.key_blob)

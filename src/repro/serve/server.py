@@ -72,9 +72,6 @@ class InferenceServer(FrameServer):
         exec_watchdog_s: float | None = None,
         breaker_failures: int = 5,
         breaker_reset_s: float = 30.0,
-        shed_policy: str = "off",
-        shed_max_rate: float = 256.0,
-        shed_target_p95_s: float | None = None,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
         recv_timeout_s: float | None = None,
     ):
@@ -98,9 +95,6 @@ class InferenceServer(FrameServer):
             exec_watchdog_s=exec_watchdog_s,
             breaker_failures=breaker_failures,
             breaker_reset_s=breaker_reset_s,
-            shed_policy=shed_policy,
-            shed_max_rate=shed_max_rate,
-            shed_target_p95_s=shed_target_p95_s,
         )
 
     def stop(self) -> None:

@@ -89,8 +89,6 @@ class ShardServer(InferenceServer):
             model_bytes,
             params=params,
             max_batch=int(header.get("max_batch", 4)),
-            repack=bool(header.get("repack", False)),
-            align_levels=bool(header.get("align_levels", False)),
             eval_keys=bytes(key_blob),
         )
         return {

@@ -6,15 +6,10 @@ different models' batches genuinely in parallel.  The pool wraps one
 bounded request queue:
 
 * ``submit`` applies **backpressure** — a full queue raises a typed
-  :class:`repro.errors.QueueFullError` instead of buffering unboundedly;
-* with ``shed_policy="aimd"`` every model is also fronted by an AIMD
-  **admission controller** (:class:`repro.serve.breaker
-  .AdmissionController`): under a degraded p95/deadline-miss signal the
-  admitted rate backs off multiplicatively and requests beyond it are
-  shed early with :class:`repro.errors.OverloadShedError`
-  (``serve_shed_total`` / ``serve_shed_total_<model>`` counters) — the
-  queue sheds the work it cannot finish in time instead of timing it
-  out after the fact;
+  :class:`repro.errors.QueueFullError` instead of buffering unboundedly.
+  The bounded queue plus the deadline drop below is the *only* admission
+  rule: ``queue_size`` is the dial that trades goodput for queueing
+  delay (worst-case wait is roughly ``queue_size / capacity``);
 * each worker thread pops a request, then *lingers* up to ``max_wait_s``
   collecting compatible requests (:func:`repro.serve.batcher.can_join`)
   into one slot-batched execution; the linger is **deadline-aware** —
@@ -27,11 +22,12 @@ bounded request queue:
   the ``serve_goodput_rps`` gauge;
 * execution errors complete the affected requests with structured
   failures — a poisoned request cannot crash the server;
-* a failed *batched* execution is contained: with ``entry.repack`` and
-  an attributable culprit, the culprit fails alone and the healthy B-1
-  re-execute as **one** batch (``serve_batch_repacks``); otherwise the
-  batch is **bisected** into singletons, keeping every healthy result
-  bit-identical to an unbatched run (``serve_batch_bisections``);
+* a failed *batched* execution is contained one way: when the failure
+  names a culprit, the culprit fails alone and the healthy B-1
+  re-execute once as **one** batch (``serve_batch_repacks``); otherwise
+  every member gets the typed error and the execution counts as **one**
+  breaker failure — clients retry transient errors through
+  :mod:`repro.serve.retry`, exactly as for ``QueueFullError``;
 * every model is guarded by a per-model **circuit breaker**
   (:mod:`repro.serve.breaker`): after N consecutive execution failures
   new requests are rejected cheaply with
@@ -44,7 +40,6 @@ bounded request queue:
 from __future__ import annotations
 
 import itertools
-import os
 import queue
 import threading
 import time
@@ -55,7 +50,6 @@ from dataclasses import dataclass
 from repro import chaos
 from repro.errors import (
     CircuitOpenError,
-    OverloadShedError,
     QueueFullError,
     ReproError,
     RequestTimeoutError,
@@ -71,35 +65,12 @@ from repro.serve.breaker import (
     HALF_OPEN,
     OPEN,
     STATE_CODES,
-    AdmissionController,
     CircuitBreaker,
 )
 from repro.serve.metrics import Metrics, SlidingWindow
 from repro.serve.registry import ModelEntry
 
 _SENTINEL = object()
-
-
-def tune_job_budget(cpu_count: int, max_width: int | None,
-                    occupancy: float | None, max_batch: int) -> int:
-    """Auto-size the shared executor budget (ROADMAP: jobs x batching).
-
-    Executor jobs and slot batching compete for the same cores: a wide
-    schedule wants many executor threads per batch, while good slot
-    batching means few concurrent batches.  The budget that keeps the
-    machine busy without oversubscribing is roughly
-
-        ``schedule max_width  x  expected concurrent executions``
-
-    where the expected concurrency is ``max_batch / observed mean
-    occupancy`` — full batches mean one execution absorbs the whole
-    arrival stream, empty ones mean up to ``max_batch`` singletons in
-    flight.  Clamped to ``[1, cpu_count]``.
-    """
-    width = max(1, int(max_width or 1))
-    occ = occupancy if occupancy and occupancy > 0 else 1.0
-    concurrent = max(1.0, max_batch / occ)
-    return max(1, min(cpu_count, int(round(width * concurrent))))
 
 
 @dataclass
@@ -142,40 +113,25 @@ class InferenceWorker:
         queue_size: int = 64,
         max_wait_s: float = 0.005,
         request_timeout_s: float = 30.0,
-        exec_jobs: int | str | None = None,
+        exec_jobs: int | None = None,
         exec_watchdog_s: float | None = None,
         breaker_failures: int = 5,
         breaker_reset_s: float = 30.0,
-        shed_policy: str = "off",
-        shed_max_rate: float = 256.0,
-        shed_target_p95_s: float | None = None,
     ):
         if num_threads < 1:
             raise ReproError("need at least one worker thread")
-        if shed_policy not in ("off", "aimd"):
-            raise ReproError(
-                f"unknown shed_policy {shed_policy!r} (off|aimd)")
         self.metrics = metrics or Metrics()
         self.max_wait_s = max_wait_s
         self.request_timeout_s = request_timeout_s
         self.exec_watchdog_s = exec_watchdog_s
         self.breaker_failures = breaker_failures
         self.breaker_reset_s = breaker_reset_s
-        self.shed_policy = shed_policy
-        self.shed_max_rate = shed_max_rate
-        self.shed_target_p95_s = shed_target_p95_s
         self._breakers: dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
-        self._controllers: dict[str, AdmissionController] = {}
-        self._controllers_lock = threading.Lock()
         # per-model EWMA of batch execution seconds; sizes the
         # deadline-aware linger cap in _collect_batch
         self._exec_ewma: dict[str, float] = {}
         self._ewma_lock = threading.Lock()
-        # exec_jobs="auto": retune the shared budget from each model's
-        # schedule width and the observed batch occupancy (EWMA)
-        self._model_widths: dict[str, int] = {}
-        self._occupancy_ewma: float | None = None
         # successes that beat their deadline, for serve_goodput_rps
         self._goodput = SlidingWindow()
         self._goodput_lock = threading.Lock()
@@ -184,17 +140,9 @@ class InferenceWorker:
         # total (serve threads x executor threads) stays bounded by
         # exec_jobs: concurrent batches degrade toward sequential
         # execution instead of oversubscribing the machine.
-        # exec_jobs="auto" starts the budget at the core count and lets
-        # _tune_exec_budget retarget it from schedule width x occupancy.
-        self.exec_autotune = exec_jobs == "auto"
-        if self.exec_autotune:
-            self.exec_jobs = os.cpu_count() or 1
-        else:
-            self.exec_jobs = resolve_jobs(exec_jobs)
+        self.exec_jobs = resolve_jobs(exec_jobs)
         self.exec_budget = (
-            JobBudget(self.exec_jobs)
-            if self.exec_jobs > 1 or self.exec_autotune else None
-        )
+            JobBudget(self.exec_jobs) if self.exec_jobs > 1 else None)
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._ids = itertools.count(1)
         self._stopping = False
@@ -219,24 +167,11 @@ class InferenceWorker:
         """Enqueue one request; returns a Future of :class:`ServeResponse`.
 
         Raises :class:`ServerShutdownError` after :meth:`close`,
-        :class:`QueueFullError` when the bounded queue is full,
-        :class:`CircuitOpenError` while the model's breaker is open, and
-        :class:`OverloadShedError` when the admission controller's AIMD
-        rate has no token for this request.
+        :class:`QueueFullError` when the bounded queue is full, and
+        :class:`CircuitOpenError` while the model's breaker is open.
         """
         if self._stopping:
             raise ServerShutdownError("server is shutting down")
-        controller = self.controller(entry)
-        if controller is not None and not controller.try_acquire():
-            # shed before touching the breaker: a half-open probe slot
-            # must not be spent on a request we refuse anyway
-            self.metrics.inc("serve_requests_rejected_total")
-            self.metrics.inc("serve_shed_total")
-            self.metrics.inc(f"serve_shed_total_{entry.model_id}")
-            raise OverloadShedError(
-                f"overload: admission rate for model {entry.model_id!r} "
-                f"is {controller.rate:.1f} req/s and the bucket is empty"
-            )
         breaker = self.breaker(entry)
         probing = breaker.state == HALF_OPEN
         if not breaker.allow():
@@ -262,11 +197,6 @@ class InferenceWorker:
                 # the half-open probe never reached execution; reopen so
                 # the breaker does not wedge with a probe in flight
                 breaker.record_failure()
-            if controller is not None:
-                # a full queue IS the overload signal — feed it to the
-                # controller as a miss so the rate clamps before every
-                # queued request has to time out first
-                controller.observe(0.0, deadline_missed=True)
             self.metrics.inc("serve_requests_rejected_total")
             raise QueueFullError(
                 f"request queue full ({self._queue.maxsize} pending)"
@@ -361,56 +291,25 @@ class InferenceWorker:
             doomed = (est > 0.0 and req.deadline is not None
                       and req.deadline - now < est)
             if req.expired(now) or doomed:
-                self.metrics.inc("serve_requests_timeout_total")
-                self._observe(req.entry, now - req.enqueued_at,
-                              deadline_missed=True, good=False)
-                self._fail(req, RequestTimeoutError(
-                    f"request {req.request_id} "
-                    + ("cannot finish inside its deadline after"
-                       if doomed and not req.expired(now) else
-                       "expired after")
-                    + f" {now - req.enqueued_at:.3f}s in queue"))
+                self._expire(
+                    req,
+                    ("cannot finish inside its deadline after"
+                     if doomed and not req.expired(now) else
+                     "expired after")
+                    + f" {now - req.enqueued_at:.3f}s in queue")
             else:
                 live.append(req)
         return live
 
-    def controller(self, entry: ModelEntry) -> AdmissionController | None:
-        """The (lazily created) admission controller for ``entry``.
-
-        ``None`` when ``shed_policy`` is ``"off"`` — the breaker and the
-        bounded queue are then the only guards, as before.
-        """
-        if self.shed_policy == "off":
-            return None
-        with self._controllers_lock:
-            controller = self._controllers.get(entry.model_id)
-            if controller is None:
-                controller = AdmissionController(
-                    max_rate=self.shed_max_rate,
-                    target_p95_s=self.shed_target_p95_s,
-                    # a quarter-second burst allowance: enough to fill a
-                    # slot batch at once, not enough to flood the queue
-                    # with a full second of rate on the first arrival
-                    burst_s=0.25,
-                )
-                self._controllers[entry.model_id] = controller
-            return controller
-
-    def _observe(self, entry: ModelEntry, latency_s: float,
-                 deadline_missed: bool, good: bool) -> None:
-        """Feed one finished request into the overload signal + metrics."""
-        controller = self.controller(entry)
-        if controller is not None:
-            controller.observe(latency_s, deadline_missed=deadline_missed)
-            self.metrics.set_gauge(
-                f"serve_admission_rate_{entry.model_id}", controller.rate)
+    def _observe(self, deadline_missed: bool) -> None:
+        """Count one finished request against its deadline."""
         if deadline_missed:
             self.metrics.inc("serve_deadline_miss_total")
-        if good:
-            with self._goodput_lock:
-                self._goodput.observe(1.0)
-                rate = self._goodput.rate()
-            self.metrics.set_gauge("serve_goodput_rps", rate)
+            return
+        with self._goodput_lock:
+            self._goodput.observe(1.0)
+            rate = self._goodput.rate()
+        self.metrics.set_gauge("serve_goodput_rps", rate)
 
     def _exec_estimate(self, entry: ModelEntry) -> float:
         with self._ewma_lock:
@@ -422,32 +321,6 @@ class InferenceWorker:
             old = self._exec_ewma.get(entry.model_id)
             self._exec_ewma[entry.model_id] = (
                 elapsed if old is None else 0.7 * old + 0.3 * elapsed)
-
-    def _tune_exec_budget(self, entry: ModelEntry) -> None:
-        """Retarget the shared executor budget before an execution.
-
-        Only active with ``exec_jobs="auto"``: combines the widest
-        registered schedule (``program.stats["schedule"]["max_width"]``)
-        with the occupancy EWMA via :func:`tune_job_budget` and resizes
-        the live :class:`JobBudget` — outstanding grants are untouched.
-        """
-        if not self.exec_autotune or self.exec_budget is None:
-            return
-        sched = (getattr(entry.program, "stats", None) or {}).get(
-            "schedule") or {}
-        try:
-            width = max(1, int(sched.get("max_width") or 1))
-        except (TypeError, ValueError):
-            width = 1
-        with self._ewma_lock:
-            self._model_widths[entry.model_id] = width
-            widest = max(self._model_widths.values())
-            occupancy = self._occupancy_ewma
-        limit = tune_job_budget(os.cpu_count() or 1, widest, occupancy,
-                                entry.max_batch)
-        if limit != self.exec_budget.limit:
-            self.exec_budget.resize(limit)
-        self.metrics.set_gauge("serve_exec_budget_limit", limit)
 
     def breaker(self, entry: ModelEntry) -> CircuitBreaker:
         """The (lazily created) circuit breaker guarding ``entry``.
@@ -486,39 +359,32 @@ class InferenceWorker:
 
     def _execute(self, batch: list[PendingRequest]) -> None:
         entry = batch[0].entry
-        self._tune_exec_budget(entry)
         started = time.monotonic()
         try:
             results = execute_batch(entry, batch, jobs=self.exec_jobs,
                                     budget=self.exec_budget,
-                                    watchdog_s=self.exec_watchdog_s,
-                                    metrics=self.metrics)
+                                    watchdog_s=self.exec_watchdog_s)
         except Exception as exc:  # noqa: BLE001 — worker must survive
-            if len(batch) > 1:
-                if entry.repack and self._repack(batch, exc):
-                    return
-                self._bisect(batch)
-            else:
-                self._record_outcome(entry, success=False)
+            # one failed execution is ONE breaker failure however many
+            # members it carried: counted per member, a single faulty
+            # batch of 8 would open a threshold-5 circuit by itself
+            self._record_outcome(entry, success=False)
+            if len(batch) > 1 and self._repack(batch, exc):
+                return
+            for req in batch:
                 self.metrics.inc("serve_requests_failed_total")
-                self._fail(batch[0], exc)
+                self._fail(req, exc)
             return
         self._record_outcome(entry, success=True)
         finished = time.monotonic()
         self._update_exec_estimate(entry, finished - started)
         self.metrics.inc("serve_batches_total")
         self.metrics.observe("serve_batch_occupancy", len(batch))
-        with self._ewma_lock:
-            old = self._occupancy_ewma
-            self._occupancy_ewma = (
-                float(len(batch)) if old is None
-                else 0.7 * old + 0.3 * len(batch))
         self.metrics.observe("serve_batch_exec_s", finished - started)
         for req, result in zip(batch, results):
             latency = finished - req.enqueued_at
             missed = req.deadline is not None and finished > req.deadline
-            self._observe(entry, latency, deadline_missed=missed,
-                          good=not missed)
+            self._observe(deadline_missed=missed)
             self.metrics.observe("serve_request_latency_s", latency)
             self.metrics.inc("serve_bytes_out_total", len(result.payload))
             if not req.future.set_running_or_notify_cancel():
@@ -537,11 +403,10 @@ class InferenceWorker:
 
         When the failure names a culprit (``exc.culprit_request_id``, or
         a chaos-poisoned member), the culprit fails alone with the typed
-        error and the healthy B-1 re-execute as *one* batch — a single
-        extra execution instead of B-1 singleton retries.  Returns False
-        (caller falls back to bisection) when nothing attributes the
-        failure to a specific member: re-packing all survivors would
-        just fail again.
+        error and the healthy B-1 re-execute once as *one* batch.
+        Returns False (caller fails the whole batch with the typed
+        error) when nothing attributes the failure to a specific member:
+        re-packing all survivors would just fail again.
         """
         culprit_id = getattr(exc, "culprit_request_id", None)
         culprits = [r for r in batch
@@ -549,10 +414,8 @@ class InferenceWorker:
         if not culprits:
             return False
         self.metrics.inc("serve_batch_repacks")
-        entry = batch[0].entry
         culprit_ids = {r.request_id for r in culprits}
         for req in culprits:
-            self._record_outcome(entry, success=False)
             self.metrics.inc("serve_requests_failed_total")
             self._fail(req, exc)
         healthy = [r for r in batch if r.request_id not in culprit_ids]
@@ -560,40 +423,19 @@ class InferenceWorker:
         live = []
         for req in healthy:
             if req.expired(now):
-                self.metrics.inc("serve_requests_timeout_total")
-                self._observe(entry, now - req.enqueued_at,
-                              deadline_missed=True, good=False)
-                self._fail(req, RequestTimeoutError(
-                    f"request {req.request_id} expired during batch "
-                    "re-packing"))
+                self._expire(req, "expired during batch re-packing")
             else:
                 live.append(req)
         if live:
             self._execute(live)
         return True
 
-    def _bisect(self, batch: list[PendingRequest]) -> None:
-        """Isolate a batch failure by retrying each request alone.
-
-        Splitting straight to singletons (not halves) is deliberate: a
-        surviving 2-batch still shares a ciphertext, and the encode
-        rounding of slot packing perturbs its results relative to an
-        unbatched run.  Singleton retries keep every healthy request's
-        result bit-identical to what an unbatched server would return,
-        while the poisoned request fails alone with its typed error.
-        """
-        self.metrics.inc("serve_batch_bisections")
-        now = time.monotonic()
-        for req in batch:
-            if req.expired(now):
-                self.metrics.inc("serve_requests_timeout_total")
-                self._observe(req.entry, now - req.enqueued_at,
-                              deadline_missed=True, good=False)
-                self._fail(req, RequestTimeoutError(
-                    f"request {req.request_id} expired during batch "
-                    "bisection"))
-            else:
-                self._execute([req])
+    def _expire(self, req: PendingRequest, why: str) -> None:
+        """Fail ``req`` as a deadline miss without executing it."""
+        self.metrics.inc("serve_requests_timeout_total")
+        self._observe(deadline_missed=True)
+        self._fail(req, RequestTimeoutError(
+            f"request {req.request_id} {why}"))
 
     def _fail(self, req: PendingRequest, exc: BaseException) -> None:
         latency = time.monotonic() - req.enqueued_at

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.chaos` plan/injector machinery itself (spec
 parsing, per-site RNG determinism, replay logs) and the containment
-layers it exists to validate: batch-failure bisection, client-side
+layers it exists to validate: batch-failure containment, client-side
 retry, per-model circuit breakers, the executor watchdog, wire-frame
 bounds, and the evaluator's noise-budget guardrails.
 """
@@ -223,13 +223,14 @@ def test_forced_noise_exhaustion_targets_budget_ops():
             sim.mul(a, b)
 
 
-# -- batch-failure bisection (acceptance) ------------------------------------
+# -- batch-failure containment (acceptance) ----------------------------------
 
 
 def test_poisoned_request_fails_alone_batchmates_bit_identical(registry):
     """Acceptance: in a 4-way batch with one poisoned request, exactly
-    that request fails with a typed error and the other three receive
-    results *bit-identical* to an unbatched run."""
+    that request fails with a typed error and the other three come back
+    from **one** batch of 3, *bit-identical* to executing those three
+    ciphertexts as a batch directly."""
     reg, weights = registry
     entry = reg.get("credit")
     rng = np.random.default_rng(8)
@@ -238,11 +239,9 @@ def test_poisoned_request_fails_alone_batchmates_bit_identical(registry):
     # randomised, so only identical inputs make bit-identity meaningful
     cts = [entry.encryptor(entry.backend, x) for x in xs]
 
-    solo = []
-    for i, ct in enumerate(cts):
-        [res] = execute_batch(entry, [
-            PendingRequest(100 + i, "s0", entry.fingerprint, entry, ct)])
-        solo.append(res)
+    direct = execute_batch(entry, [
+        PendingRequest(100 + i, "s0", entry.fingerprint, entry, ct)
+        for i, ct in enumerate(cts[1:])])
 
     metrics = Metrics()
     # worker ids start at 1; probability 1 with max_count=1 poisons
@@ -258,12 +257,13 @@ def test_poisoned_request_fails_alone_batchmates_bit_identical(registry):
     assert not poisoned.ok
     assert poisoned.error == "ChaosError"
     assert "poisoned" in poisoned.message
-    assert metrics.counter("serve_batch_bisections") == 1
-    for resp, alone, x in zip(healthy, solo[1:], xs[1:]):
+    assert metrics.counter("serve_batch_repacks") == 1
+    assert metrics.counter("serve_batches_total") == 1  # one re-execution
+    for resp, ref, x in zip(healthy, direct, xs[1:]):
         assert resp.ok, resp.message
-        assert resp.batch_size == 1  # re-executed as a singleton
-        assert resp.slot_offset == 0
-        assert resp.payload == alone.payload  # bit-identical to unbatched
+        assert resp.batch_size == 3  # re-packed together
+        assert resp.slot_offset == ref.slot_offset
+        assert resp.payload == ref.payload  # bit-identical to the direct run
         got = entry.decrypt_result(resp.payload, resp.slot_offset)
         assert np.allclose(got.ravel(), expected_scores(weights, x),
                            atol=1e-3)

@@ -22,16 +22,11 @@ from repro.polymath.rns import RnsBasis
 from repro.runtime.ckks_interp import run_ckks_function
 
 HAVE_NUMBA = kernels.backend_available("numba")
-HAVE_CUDA = kernels.backend_available("cuda")
 
 #: every non-default backend that can run on this host; pyloops is
 #: always present, so the differential suite never silently shrinks to
 #: nothing
-ALT_BACKENDS = (
-    ["pyloops"]
-    + (["numba"] if HAVE_NUMBA else [])
-    + (["cuda"] if HAVE_CUDA else [])
-)
+ALT_BACKENDS = ["pyloops"] + (["numba"] if HAVE_NUMBA else [])
 
 #: 59-bit NTT-friendly prime (== 1 mod 128): above the numpy float-trick
 #: ceiling, inside the JIT backends' 59-bit one
@@ -82,9 +77,7 @@ def test_missing_dependency_raises_with_reason():
 def test_auto_resolves_cleanly(caplog):
     with caplog.at_level("WARNING", logger="repro.kernels"):
         backend = kernels.resolve("auto")
-    if HAVE_CUDA:
-        assert backend.name == "cuda"
-    elif HAVE_NUMBA:
+    if HAVE_NUMBA:
         assert backend.name == "numba"
     else:
         assert backend.name == "numpy"
@@ -191,8 +184,7 @@ def test_exotic_layouts_fall_back_consistently(name):
 # differential identity: 128-bit Barrett past the float-trick ceiling
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "name", [n for n in ALT_BACKENDS if n != "cuda"])
+@pytest.mark.parametrize("name", ALT_BACKENDS)
 def test_59_bit_mul_mod_exact(name):
     backend = kernels.get_backend(name)
     assert backend.max_modulus_bits == jitcore.JIT_MAX_MODULUS_BITS
@@ -209,8 +201,7 @@ def test_59_bit_mul_mod_exact(name):
         np.array([((P59 - 1) ** 2) % P59, 1, 0], dtype=np.uint64))
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in ALT_BACKENDS if n != "cuda"])
+@pytest.mark.parametrize("name", ALT_BACKENDS)
 def test_59_bit_ntt_roundtrip_beyond_numpy_ceiling(name, monkeypatch):
     """JIT backends transform under a 59-bit prime; numpy refuses it."""
     kernels.set_backend(name)

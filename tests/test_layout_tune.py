@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.ckks import CkksParameters
 from repro.compiler import ACECompiler, CompileOptions
-from repro.errors import ReproError
 from repro.onnx import OnnxGraphBuilder, load_model_bytes, model_to_bytes
 from repro.passes.frontend import onnx_to_nn
 from repro.passes.layout import (
@@ -215,59 +214,3 @@ def test_search_plan_respects_eval_budget():
     result = search_plan(nn, 256, options, model, jobs=1, max_evals=1)
     assert result.info["candidates_evaluated"] == 1
     assert result.info["search_truncated"] is True
-
-
-# -- serving axis ----------------------------------------------------------
-
-
-def test_tune_job_budget_formula():
-    from repro.serve.worker import tune_job_budget
-
-    # full batching: one concurrent execution of width 4
-    assert tune_job_budget(8, 4, 4.0, 4) == 4
-    # no batching: four singleton executions want 16, clamped to cores
-    assert tune_job_budget(8, 4, 1.0, 4) == 8
-    # narrow host clamps everything
-    assert tune_job_budget(2, 16, None, 4) == 2
-    # sequential schedule, no batching: one job is enough
-    assert tune_job_budget(8, 1, 1.0, 1) == 1
-
-
-def test_job_budget_resize():
-    from repro.runtime.executor import JobBudget
-
-    budget = JobBudget(4)
-    got = budget.acquire(3)
-    assert got == 3
-    budget.resize(2)  # shrink below what is outstanding
-    assert budget.limit == 2
-    assert budget.acquire(4) == 1  # guaranteed minimum while in debt
-    budget.release(1)
-    budget.release(got)
-    assert budget.available == 2  # clamped at the new limit
-    budget.resize(6)
-    assert budget.acquire(6) == 6
-    with pytest.raises(ReproError):
-        budget.resize(0)
-
-
-def test_worker_auto_budget_tracks_schedule_width():
-    from repro.serve.worker import InferenceWorker
-
-    worker = InferenceWorker(num_threads=1, exec_jobs="auto")
-    try:
-        assert worker.exec_autotune
-        assert worker.exec_budget is not None
-
-        class _Entry:
-            model_id = "m"
-            max_batch = 1
-
-            class program:
-                stats = {"schedule": {"max_width": 2}}
-
-        worker._tune_exec_budget(_Entry())
-        assert worker.exec_budget.limit == min(
-            2, worker.exec_jobs)  # width 2, no batching, clamped to cores
-    finally:
-        worker.close()

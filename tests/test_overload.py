@@ -1,5 +1,5 @@
-"""Overload-control tests: AIMD admission, deadline-aware batching,
-partial-batch re-packing, incremental chaos logs, deadline propagation."""
+"""Overload-control tests: deadline-aware batching, batch-failure
+containment, incremental chaos logs, deadline propagation."""
 
 import json
 
@@ -7,25 +7,21 @@ import numpy as np
 import pytest
 
 from repro import chaos
-from repro.errors import ChaosError, OverloadShedError, RequestTimeoutError
+from repro.errors import ChaosError, RequestTimeoutError
 from repro.onnx import OnnxGraphBuilder, load_model_bytes, model_to_bytes
 from repro.serve import (
-    AdmissionController,
     InferenceWorker,
     Metrics,
     ModelRegistry,
     SlidingWindow,
     aggregate_counters,
-    align_to_common_level,
-    can_join,
-    execute_batch,
 )
 from repro.serve.batcher import PendingRequest
 from repro.serve.router import remaining_timeout_s
 
 
 class FakeClock:
-    """Injectable monotonic clock so AIMD trajectories need no sleeping."""
+    """Injectable monotonic clock so window tests need no sleeping."""
 
     def __init__(self, start=100.0):
         self.now = start
@@ -35,14 +31,6 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
-
-
-def make_controller(clock, **overrides):
-    kwargs = dict(max_rate=64.0, floor_rate=2.0, increase=8.0,
-                  decrease=0.5, adjust_interval_s=0.25, burst_s=1.0,
-                  clock=clock)
-    kwargs.update(overrides)
-    return AdmissionController(**kwargs)
 
 
 def gemv_model(n_in=24, n_out=3, seed=0, name="m"):
@@ -64,8 +52,7 @@ def gemv_model(n_in=24, n_out=3, seed=0, name="m"):
 def repack_registry():
     model, weights = gemv_model()
     reg = ModelRegistry()
-    reg.register("credit", model, max_batch=4, seed=7, repack=True)
-    reg.register("aligned", model, max_batch=4, seed=7, align_levels=True)
+    reg.register("credit", model, max_batch=4, seed=7)
     return reg, weights
 
 
@@ -77,113 +64,6 @@ def make_request(entry, x, request_id=0, poisoned=False):
     ct = entry.encryptor(entry.backend, x)
     return PendingRequest(request_id, "s0", entry.fingerprint, entry, ct,
                           poisoned=poisoned)
-
-
-# -- AIMD admission controller ----------------------------------------------
-
-
-def test_aimd_starts_at_max_rate_and_admits():
-    clock = FakeClock()
-    ctl = make_controller(clock)
-    assert ctl.rate == 64.0
-    assert ctl.try_acquire()
-    assert ctl.snapshot()["admitted_total"] == 1
-
-
-def test_aimd_backs_off_multiplicatively_on_misses():
-    clock = FakeClock()
-    ctl = make_controller(clock)
-    ctl.observe(0.5, deadline_missed=True)
-    clock.advance(0.3)  # past the adjust interval
-    ctl.observe(0.5, deadline_missed=True)
-    assert ctl.rate == 32.0
-
-
-def test_aimd_one_step_per_interval():
-    # five misses inside one interval halve the rate once, not five times
-    clock = FakeClock()
-    ctl = make_controller(clock)
-    clock.advance(0.3)
-    for _ in range(5):
-        ctl.observe(0.5, deadline_missed=True)
-    assert ctl.rate == 32.0
-
-
-def test_aimd_p95_target_is_a_degraded_signal():
-    clock = FakeClock()
-    ctl = make_controller(clock, target_p95_s=0.1)
-    for _ in range(10):
-        ctl.observe(0.4)  # slow, but no outright miss
-    clock.advance(0.3)
-    ctl.observe(0.4)
-    assert ctl.rate == 32.0
-
-
-@pytest.mark.parametrize("decrease", [0.25, 0.5, 0.8])
-def test_aimd_recovers_to_full_admission(decrease):
-    """After the load drops the rate climbs back to max and admits again."""
-    clock = FakeClock()
-    ctl = make_controller(clock, decrease=decrease)
-    # sustained overload: a miss every interval clamps the rate down
-    for _ in range(20):
-        clock.advance(0.3)
-        ctl.observe(1.0, deadline_missed=True)
-    degraded_rate = ctl.rate
-    assert degraded_rate < 64.0
-    # load drops: healthy observations walk the rate back up additively
-    for _ in range(20):
-        clock.advance(0.3)
-        ctl.observe(0.01)
-    assert ctl.rate == 64.0
-    clock.advance(1.0)
-    assert ctl.try_acquire()
-
-
-@pytest.mark.parametrize("floor_rate", [0.5, 2.0])
-def test_aimd_never_wedges_at_zero(floor_rate):
-    """Even under a permanently degraded signal a trickle keeps flowing."""
-    clock = FakeClock()
-    ctl = make_controller(clock, floor_rate=floor_rate)
-    for _ in range(100):
-        clock.advance(0.3)
-        ctl.observe(1.0, deadline_missed=True)
-    assert ctl.rate == floor_rate
-    # drain whatever burst credit is left...
-    while ctl.try_acquire():
-        pass
-    # ...and the floor still refills the bucket within a bounded wait
-    clock.advance(max(1.5, 1.5 / floor_rate))
-    assert ctl.try_acquire()
-
-
-def test_aimd_decisions_deterministic():
-    """The same observation/acquire schedule yields the same decisions."""
-
-    def run():
-        clock = FakeClock()
-        ctl = make_controller(clock)
-        decisions = []
-        for step in range(200):
-            clock.advance(0.05)
-            if step % 3 == 0:
-                ctl.observe(0.2, deadline_missed=(step % 7 == 0))
-            decisions.append(ctl.try_acquire())
-        return decisions, ctl.rate, ctl.snapshot()["shed_total"]
-
-    assert run() == run()
-
-
-def test_aimd_rejects_bad_config():
-    from repro.errors import ReproError
-
-    with pytest.raises(ValueError):
-        AdmissionController(max_rate=0.0)
-    with pytest.raises(ValueError):
-        AdmissionController(floor_rate=0.0)
-    with pytest.raises(ValueError):
-        AdmissionController(decrease=1.0)
-    with pytest.raises(ReproError):
-        InferenceWorker(shed_policy="bogus")
 
 
 # -- sliding window / metric aggregation ------------------------------------
@@ -203,51 +83,15 @@ def test_sliding_window_forgets_by_age():
 
 def test_aggregate_counters_sums_across_shards():
     snaps = [
-        {"counters": {"serve_shed_total": 3}, "gauges": {}},
+        {"counters": {"serve_deadline_miss_total": 3}, "gauges": {}},
         {"counters": {}, "gauges": {"serve_goodput_rps": 2.5}},
     ]
-    agg = aggregate_counters(snaps, ("serve_shed_total",
+    agg = aggregate_counters(snaps, ("serve_deadline_miss_total",
                                      "serve_goodput_rps",
                                      "serve_batch_repacks"))
-    assert agg["serve_shed_total"] == 3
+    assert agg["serve_deadline_miss_total"] == 3
     assert agg["serve_goodput_rps"] == 2.5
     assert agg["serve_batch_repacks"] == 0
-
-
-# -- worker shed path --------------------------------------------------------
-
-
-def test_worker_sheds_with_typed_transient_error(repack_registry):
-    reg, _ = repack_registry
-    entry = reg.get("credit")
-    metrics = Metrics()
-    worker = InferenceWorker(metrics=metrics, num_threads=1,
-                             shed_policy="aimd")
-    try:
-        ctl = worker.controller(entry)
-        assert ctl is not None
-        # empty the bucket by hand: the next submit must shed, not queue
-        with ctl._lock:
-            ctl._tokens = 0.0
-            ctl.rate = ctl.floor_rate
-            ctl._refilled_at = ctl._clock()
-        x = np.zeros((1, 24))
-        with pytest.raises(OverloadShedError) as err:
-            worker.submit(entry, "s0", entry.encryptor(entry.backend, x))
-        assert err.value.transient  # clients back off and retry on this
-        counters = metrics.snapshot()["counters"]
-        assert counters["serve_shed_total"] == 1
-        assert counters["serve_shed_total_credit"] == 1
-        assert counters["serve_requests_rejected_total"] == 1
-    finally:
-        worker.close()
-
-
-def test_worker_policy_off_has_no_controller(repack_registry):
-    reg, _ = repack_registry
-    entry = reg.get("credit")
-    with InferenceWorker(num_threads=1) as worker:
-        assert worker.controller(entry) is None
 
 
 # -- deadline-aware batching -------------------------------------------------
@@ -291,54 +135,14 @@ def test_collect_batch_drops_doomed_requests(repack_registry):
         assert counters["serve_requests_timeout_total"] == 1
 
 
-# -- level alignment ---------------------------------------------------------
-
-
-def test_align_levels_join_and_execute(repack_registry):
-    reg, weights = repack_registry
-    entry = reg.get("aligned")
-    plain = reg.get("credit")
-    rng = np.random.default_rng(3)
-    xs = [rng.uniform(-1, 1, size=(1, 24)) for _ in range(2)]
-
-    reqs = [make_request(entry, x, i) for i, x in enumerate(xs)]
-    backend = entry.backend
-    reqs[1].ciphertext = backend.mod_switch_to(
-        reqs[1].ciphertext, reqs[1].ciphertext.level - 1)
-
-    # a level mismatch is joinable only under align_levels
-    lo = make_request(plain, xs[1], 9)
-    lo.ciphertext = plain.backend.mod_switch_to(
-        lo.ciphertext, lo.ciphertext.level - 1)
-    assert not can_join([make_request(plain, xs[0], 8)], lo)
-    assert can_join([reqs[0]], reqs[1])
-
-    metrics = Metrics()
-    results = execute_batch(entry, reqs, metrics=metrics)
-    assert metrics.snapshot()["counters"]["serve_batch_level_aligns"] == 1
-    for x, res in zip(xs, results):
-        got = entry.decrypt_result(res.payload, res.slot_offset)
-        assert np.allclose(got.ravel(), expected_scores(weights, x),
-                           atol=1e-3)
-
-
-def test_align_to_common_level_noop_when_homogeneous(repack_registry):
-    reg, _ = repack_registry
-    entry = reg.get("aligned")
-    x = np.zeros((1, 24))
-    reqs = [make_request(entry, x, i) for i in range(2)]
-    assert align_to_common_level(entry, reqs) == 0
-
-
-# -- partial-batch re-packing ------------------------------------------------
+# -- batch-failure containment ------------------------------------------------
 
 
 def test_repack_recovers_healthy_requests_as_one_batch(repack_registry):
     """One poisoned member fails alone; the healthy B-1 re-execute as a
-    single batch (one extra execution, no bisection)."""
+    single batch (one extra execution)."""
     reg, weights = repack_registry
     entry = reg.get("credit")
-    assert entry.repack
     rng = np.random.default_rng(5)
     xs = [rng.uniform(-1, 1, size=(1, 24)) for _ in range(4)]
     reqs = [make_request(entry, x, i) for i, x in enumerate(xs)]
@@ -350,7 +154,6 @@ def test_repack_recovers_healthy_requests_as_one_batch(repack_registry):
 
     counters = metrics.snapshot()["counters"]
     assert counters["serve_batch_repacks"] == 1
-    assert counters.get("serve_batch_bisections", 0) == 0
 
     bad = reqs[2].future.result(timeout=5)
     assert not bad.ok and bad.error == ChaosError.__name__
@@ -364,37 +167,61 @@ def test_repack_recovers_healthy_requests_as_one_batch(repack_registry):
                            atol=1e-3)
 
 
-def test_repack_falls_back_to_bisection_without_culprit(
+def test_unattributed_batch_failure_costs_one_execution(
         repack_registry, monkeypatch):
-    """An unattributable batch failure bisects even with repack on."""
+    """A failure that names no culprit is not retried server-side: one
+    execution, the typed error to every member, one breaker failure."""
     from repro.serve import worker as worker_mod
+    from repro.serve.breaker import CLOSED
 
-    reg, weights = repack_registry
+    reg, _ = repack_registry
     entry = reg.get("credit")
-    real = worker_mod.execute_batch
-    calls = {"n": 0}
+    calls = []
 
-    def flaky(entry_, requests, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1 and len(requests) > 1:
-            raise RuntimeError("backend hiccup, no culprit")
-        return real(entry_, requests, **kwargs)
+    def hiccup(entry_, requests, **kwargs):
+        calls.append(len(requests))
+        raise RuntimeError("backend hiccup, no culprit")
 
-    monkeypatch.setattr(worker_mod, "execute_batch", flaky)
-    rng = np.random.default_rng(6)
-    xs = [rng.uniform(-1, 1, size=(1, 24)) for _ in range(3)]
-    reqs = [make_request(entry, x, i) for i, x in enumerate(xs)]
+    monkeypatch.setattr(worker_mod, "execute_batch", hiccup)
+    x = np.zeros((1, 24))
+    reqs = [make_request(entry, x, i) for i in range(entry.max_batch)]
 
     metrics = Metrics()
     with InferenceWorker(metrics=metrics, num_threads=1) as worker:
         worker._execute(reqs)
+        breaker = worker.breaker(entry)
+        # counted per member, a batch of 8 would open the default
+        # threshold-5 circuit on its first fault
+        assert breaker._failures == 1 and breaker.state == CLOSED
 
+    assert calls == [entry.max_batch]
     counters = metrics.snapshot()["counters"]
     assert counters.get("serve_batch_repacks", 0) == 0
-    assert counters["serve_batch_bisections"] == 1
-    for req, x in zip(reqs, xs):
+    assert counters["serve_requests_failed_total"] == entry.max_batch
+    assert counters.get("serve_circuit_open_total", 0) == 0
+    for req in reqs:
         resp = req.future.result(timeout=5)
-        assert resp.ok and resp.batch_size == 1  # singleton retries
+        assert not resp.ok and resp.error == RuntimeError.__name__
+        assert "no culprit" in resp.message
+
+
+# -- soak ---------------------------------------------------------------------
+
+
+def test_short_soak_is_contained_by_queue_and_deadline_alone():
+    """3x overload with faults firing surfaces only as the queue's and
+    the deadline's typed transient errors — there is no other admission
+    rule to report."""
+    from repro.chaos.soak import SoakConfig, render, run_soak
+
+    report = run_soak(SoakConfig(seed=42, duration_s=1.0,
+                                 calibration_requests=16))
+    assert report["non_transient_errors"] == 0 and report["contained"]
+    assert set(report["outcomes"]) <= {
+        "good", "late", "queue_full", "circuit_open", "timeout",
+        "transient"}
+    assert sum(report["outcomes"].values()) == report["sent"]
+    assert "containment:        HELD" in render(report)
 
 
 # -- deadline propagation ----------------------------------------------------

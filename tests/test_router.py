@@ -370,8 +370,8 @@ def test_router_dispatch_bug_answers_internal_error_with_rid(
         assert reply["ok"] and reply["rid"] == 42
 
 
-def test_router_forwards_overload_options_to_shard_argv(monkeypatch):
-    """``repro router --shed-target-p95-s X`` must reach ``repro serve
+def test_router_forwards_shard_options_to_shard_argv(monkeypatch):
+    """``repro router --kernel X --workers N`` must reach ``repro serve
     --shard``: inspect the argv ``spawn_locked`` builds, spawning nothing."""
     seen = []
 
@@ -389,17 +389,16 @@ def test_router_forwards_overload_options_to_shard_argv(monkeypatch):
 
     monkeypatch.setattr(subprocess, "Popen", ExitedAtOnce)
     with pytest.raises(ShardUnavailableError):
-        RouterServer(num_shards=1, shard_shed_policy="aimd",
-                     shard_shed_target_p95_s=0.25)
+        RouterServer(num_shards=1, shard_kernel="pyloops", shard_workers=3)
     (cmd,) = seen
-    assert cmd[cmd.index("--shed-policy") + 1] == "aimd"
-    assert cmd[cmd.index("--shed-target-p95-s") + 1] == "0.25"
+    assert cmd[cmd.index("--kernel") + 1] == "pyloops"
+    assert cmd[cmd.index("--workers") + 1] == "3"
 
     seen.clear()
     handle = ShardHandle(0)
     with pytest.raises(ShardUnavailableError), handle.lock:
         handle.spawn_locked()
-    assert "--shed-target-p95-s" not in seen[0]  # unset stays unset
+    assert "--kernel" not in seen[0]  # unset stays unset
 
 
 def test_router_stop_never_respawns_a_shard():

@@ -1,8 +1,10 @@
-"""``repro.serve`` has one wire front-end: ``transport.py``.
+"""``repro.serve`` has one wire front-end (``transport.py``), one
+admission rule (the bounded queue) and one containment path (repack).
 
 An AST walk, like ``test_layering.py``: a second frame parser, accept
-loop or lifecycle growing back inside a server class shows up here as a
-named line instead of as two diverging copies a year later.
+loop, lifecycle, admission controller or containment path growing back
+shows up here as a named line instead of as two diverging copies a year
+later.
 """
 
 import ast
@@ -64,3 +66,19 @@ def test_servers_are_frame_servers_without_front_end_code():
         assert "_dispatch" in methods
         assert not methods & FRONT_END_METHODS, (
             f"{name} re-implements {sorted(methods & FRONT_END_METHODS)}")
+
+
+def test_one_admission_rule_and_one_containment_path():
+    defined = {
+        node.name: node
+        for _name, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    gone = {"AdmissionController", "_bisect", "align_to_common_level",
+            "tune_job_budget"}
+    assert not gone & set(defined), sorted(gone & set(defined))
+    (init,) = [node for node in defined["InferenceWorker"].body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "__init__"]
+    params = [arg.arg for arg in init.args.args + init.args.kwonlyargs]
+    assert not [p for p in params if p.startswith("shed_")], params
