@@ -309,10 +309,6 @@ class ACECompiler:
             # which NTT/RNS kernel backend executions will run on (the
             # process-global --kernel / REPRO_KERNEL selection)
             "kernel_backend": kernels.active_name(),
-            # refresh-target slack the lowering settled on (the retry
-            # ladder widens it when a real prime chain costs more
-            # alignment units than the depth estimate predicts)
-            "align_margin": context.get("align_margin"),
         }
         # predicted end-to-end seconds of the *final* CKKS IR; `repro
         # run` / the layout bench pair it with a measurement via
@@ -513,32 +509,17 @@ class ACECompiler:
         opts = self.options
         context["cost_model"] = pricer
         # the replanner re-runs the scale/level assignment from the SIHE
-        # module, which the lowering consumes — snapshot it first
-        sihe_snapshot = (levels.clone_module(module)
-                         if opts.opt_level >= 2 else None)
+        # module, which the lowering pass replaces in ``module``; the
+        # lowering never mutates the SIHE function, so keeping its tables
+        # is enough
+        sihe_snapshot = levels.shallow_copy(module)
 
         def lower_sihe(m, ctx):
-            # the refresh targets come from a SIHE-level depth estimate;
-            # real prime chains (``exact_params``) can cost more
-            # alignment units than the estimate predicts, so retry a
-            # lowering that runs the chain dry with widening margins —
-            # the post-opt replanner trims the slack back down from the
-            # measured needs of the optimized DAG
-            last_err = None
-            for margin in (2, 4, 6, 8):
-                try:
-                    candidate, cand_ctx = levels.lower_sihe_clone(
-                        m, moduli, scheme.scale, opts, align_margin=margin)
-                except LoweringError as err:
-                    last_err = err
-                    continue
-                m.functions = candidate.functions
-                m.constants = candidate.constants
-                m.meta = candidate.meta
-                ctx.update(cand_ctx)
-                ctx["align_margin"] = margin
-                return
-            raise last_err
+            ckks, cand_ctx = levels.lower_to_ckks(m, moduli, scheme.scale,
+                                                  opts)
+            m.functions, m.constants, m.meta = (
+                ckks.functions, ckks.constants, ckks.meta)
+            ctx.update(cand_ctx)
 
         pm = PassManager(timers=timers.timers)
         pm.add(Pass(

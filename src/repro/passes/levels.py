@@ -1,21 +1,25 @@
 """Global level & bootstrap re-planning on the *optimized* CKKS IR.
 
 Bootstrap placement happens inside the ``sihe -> ckks`` lowering, which
-runs *before* the op-reduction optimizer — so the lowering plans refresh
-targets from a SIHE-level depth *estimate* (multiplication counts plus an
-``ALIGN_MARGIN`` slack for scale-management units it cannot predict).
-After optimization the program's true level consumption is a measurable
+runs *before* the op-reduction optimizer.  Its first guess at each
+refresh target is the region's SIHE multiplicative depth, which cannot
+see the scale-management units a real prime chain costs; after
+optimization the program's true level consumption is a measurable
 property of the final DAG, and a refresh is the most expensive operation
 in the whole system: one deleted bootstrap dwarfs any key-switch win.
 
-This module closes the loop (ROADMAP item 5, in the spirit of Orion's
+This module measures instead of guessing (in the spirit of Orion's
 global bootstrap placement and CHET's whole-program costed planning):
 
 * :func:`consumed_need` — a backward dataflow analysis computing, for
-  every value of the optimized DAG, how many levels must still be
-  available below it (rescales consume one, modswitches consume their
-  ``levels`` attribute, a bootstrap input consumes nothing).  This
-  replaces the lowering-time ``depth[v]`` estimate with ground truth.
+  every value of a CKKS DAG, how many levels must still be available
+  below it (rescales consume one, modswitches consume their ``levels``
+  attribute, a bootstrap input consumes nothing).  This replaces the
+  lowering-time ``depth[v]`` estimate with ground truth.
+* :func:`lower_to_ckks` — the one way a CKKS program is built from SIHE:
+  lower with the first-guess targets, and while the result does not fit
+  the chain, raise each short refresh's target to the measured need of
+  its region and lower again.
 * :func:`plan_bootstraps` — walks the DAG once, projecting post-replan
   levels forward, and proposes per-hint overrides: *skip* a refresh
   whose remaining budget now covers its region, or *retarget* it to the
@@ -23,15 +27,13 @@ global bootstrap placement and CHET's whole-program costed planning):
   :class:`~repro.passes.cost.CostModel` (a skipped refresh must pay for
   the deeper — hence wider — region ops it leaves behind).
 * :func:`run_level_replan` — the driver hook: re-lowers the preserved
-  SIHE module under the proposed plan, re-optimizes, and repeats to a
-  fixpoint (op count and bootstrap count stable), bounded rounds.  Each
-  candidate is verifier-checked and adopted only when the modeled
-  function cost actually improves; a candidate whose tightened plan
-  turns out infeasible (``LoweringError``) is retried with relaxed
-  targets and finally abandoned.  Re-lowering (rather than patching
-  levels in place) keeps the scale plan exact against *real* prime
-  chains, where shifting a region changes which primes its rescales
-  divide by.
+  SIHE module under the proposed plan (each target a floor the fitting
+  lowering may raise), re-optimizes, and repeats to a fixpoint (op count
+  and bootstrap count stable), bounded rounds.  Each candidate is
+  verifier-checked and adopted only when the modeled function cost
+  actually improves.  Re-lowering (rather than patching levels in place)
+  keeps the scale plan exact against *real* prime chains, where shifting
+  a region changes which primes its rescales divide by.
 * :func:`replan_relins` — generalises the lazy-relinearisation
   peepholes to a whole-DAG placement: strip every ``ckks.relin`` and
   re-insert one per value at the latest legal frontier (rotation,
@@ -55,7 +57,11 @@ from repro.ir.registry import OPS
 from repro.ir.types import Cipher3Type, CipherType
 from repro.ir.verifier import verify_module
 from repro.passes.cost import CostModel
-from repro.passes.lowering.sihe_to_ckks import SiheToCkksLowering
+from repro.passes.lowering.sihe_to_ckks import (
+    SiheToCkksLowering,
+    capacity_floors,
+    fits_capacity,
+)
 from repro.passes.opt import bootstrap_count, cse_function, optimize_module
 
 _CIPHERISH = (CipherType, Cipher3Type)
@@ -88,14 +94,19 @@ def clone_function(fn: Function) -> Function:
     return out
 
 
+def shallow_copy(module: Module) -> Module:
+    """A module sharing ``module``'s functions and constant payloads, with
+    its own tables: adding or replacing either leaves ``module`` as it
+    was (what a lowering pass does to the module it is handed)."""
+    return Module(module.name, dict(module.functions),
+                  dict(module.constants),
+                  {k: (dict(v) if isinstance(v, dict) else v)
+                   for k, v in module.meta.items()})
+
+
 def clone_module(module: Module) -> Module:
     """Copy a module; constant payloads are shared (they are immutable)."""
-    out = Module(module.name)
-    out.constants = dict(module.constants)
-    out.meta = {
-        k: (dict(v) if isinstance(v, dict) else v)
-        for k, v in module.meta.items()
-    }
+    out = shallow_copy(module)
     for name, fn in module.functions.items():
         out.functions[name] = clone_function(fn)
     return out
@@ -104,16 +115,6 @@ def clone_module(module: Module) -> Module:
 # ---------------------------------------------------------------------------
 # dataflow analyses over the optimized DAG
 # ---------------------------------------------------------------------------
-
-def _capacity_floors(moduli) -> list[float]:
-    """Cumulative modulus products: ``floors[L]`` = capacity at level L."""
-    caps: list[float] = []
-    product = 1.0
-    for q in moduli:
-        product *= float(q)
-        caps.append(product)
-    return caps
-
 
 def _scale_floor(scale: float, caps: list[float]) -> int:
     """Smallest level whose capacity strictly exceeds ``scale``.
@@ -125,7 +126,7 @@ def _scale_floor(scale: float, caps: list[float]) -> int:
     rescale ever consumes those levels.
     """
     for level, cap in enumerate(caps):
-        if cap > scale * (1.0 + 1e-9):
+        if fits_capacity(scale, cap):
             return level
     return len(caps) - 1
 
@@ -144,7 +145,7 @@ def consumed_need(fn: Function,
     it includes every scale-alignment unit the lowering actually emitted
     and every op the optimizer actually removed.
     """
-    caps = _capacity_floors(moduli) if moduli else None
+    caps = capacity_floors(moduli) if moduli else None
 
     def floor_of(value: Value) -> int:
         if caps is None or not value.meta:
@@ -174,7 +175,6 @@ def consumed_need(fn: Function,
 
 
 def plan_bootstraps(fn: Function, table: CostModel, max_level: int,
-                    margin: int = 0,
                     moduli: list[float] | None = None,
                     ) -> tuple[dict[int, dict], list[dict]]:
     """Propose per-hint overrides from the optimized DAG.
@@ -183,9 +183,7 @@ def plan_bootstraps(fn: Function, table: CostModel, max_level: int,
     ``ckks.bootstrap`` the projected entry budget and the measured
     region need decide between *skip* (budget covers the region;
     cost-gated against the deeper region ops it implies) and *retarget*
-    (measured need replaces estimate + alignment margin).  ``margin``
-    adds slack on non-uniform prime chains, where shifting a region
-    changes rescale divisors and can surface new alignment units.
+    (the optimized region needs less than its target).
 
     Returns ``(plan, rows)``: ``plan`` maps hint index to an override
     (empty = the current placement is already minimal), ``rows`` one
@@ -208,7 +206,7 @@ def plan_bootstraps(fn: Function, table: CostModel, max_level: int,
             t_old = op.attrs.get("target_level", max_level)
             entry = proj.get(op.operands[0].id)
             region_need = need.get(op.result.id, 0)
-            want = max(min(region_need + margin, max_level), 1)
+            want = max(min(region_need, max_level), 1)
             row = {
                 "hint": hint, "target": t_old, "need": region_need,
                 "entry": entry, "decision": "keep",
@@ -379,36 +377,45 @@ def replan_relins(fn: Function, table: CostModel) -> dict:
 # the fixpoint driver hook
 # ---------------------------------------------------------------------------
 
-def _relax(plan: dict[int, dict], step: int) -> dict[int, dict]:
-    """Back off a plan that turned out infeasible: raise every retarget
-    by ``step`` levels; at step >= 2 also give up on skips."""
-    relaxed: dict[int, dict] = {}
-    for hint, decision in plan.items():
-        if decision.get("skip"):
-            if step < 2:
-                relaxed[hint] = decision
-            continue
-        relaxed[hint] = {"target": decision["target"] + step}
-    return relaxed
+def lower_to_ckks(sihe_module: Module, moduli: list[float], scale: float,
+                  options, hint_plan: dict[int, dict] | None = None,
+                  ) -> tuple[Module, dict]:
+    """Lower the SIHE module to a CKKS module that fits the chain;
+    ``(module, context)``.
 
-
-def lower_sihe_clone(sihe_module: Module, moduli: list[float], scale: float,
-                     options, hint_plan: dict[int, dict] | None = None,
-                     align_margin: int | None = None) -> tuple[Module, dict]:
-    """Lower a *copy* of the SIHE module to CKKS; ``(module, context)``.
-
-    The one way a candidate CKKS program is built — by the driver's
-    align-margin ladder and by each replanning round — so a lowering
-    that raises ``LoweringError`` leaves the SIHE module untouched.
+    Each refresh target starts at ``hint_plan``'s target or, without
+    one, at its region's SIHE depth requirement.  While the lowered
+    program does not fit, every short region — a refresh whose target,
+    or a dead or skipped hint whose entry level, is below the
+    :func:`consumed_need` of the region's first value — gets that need as
+    its target, and the module is lowered again; targets only rise, so
+    this ends.  Raises ``LoweringError`` when no target can rise.  The
+    lowering only reads the SIHE function, so each attempt works on a
+    :func:`shallow_copy` and ``sihe_module`` is left as it was.
     """
-    candidate = clone_module(sihe_module)
-    ctx: dict = {}
-    SiheToCkksLowering(
-        moduli, scale, options.bootstrap_enabled,
-        options.minimal_level_bootstrap,
-        hint_plan=hint_plan, align_margin=align_margin,
-    ).run(candidate, ctx)
-    return candidate, ctx
+    max_level = len(moduli) - 1
+    plan = dict(hint_plan or {})
+    while True:
+        module, ctx = shallow_copy(sihe_module), {}
+        lowering = SiheToCkksLowering(
+            moduli, scale, options.bootstrap_enabled,
+            options.minimal_level_bootstrap, hint_plan=plan)
+        lowering.run(module, ctx)
+        if lowering.fits:
+            return module, ctx
+        need = consumed_need(module.main(), moduli)
+        raised = dict(plan)
+        for row in ctx["bootstrap_plan"]:
+            entry = (row["target"] if row["status"] == "emitted"
+                     else row["level_in"])
+            want = min(need.get(row["value"], 0), max_level)
+            if options.bootstrap_enabled and want > entry:
+                raised[row["hint"]] = {"target": want}
+        if raised == plan:
+            raise LoweringError(
+                f"the {max_level}-level chain is too short for this "
+                "program: no refresh target can rise")
+        plan = raised
 
 
 def run_level_replan(module: Module, sihe_module: Module,
@@ -424,14 +431,8 @@ def run_level_replan(module: Module, sihe_module: Module,
     """
     table = cost_model or CostModel()
     max_level = len(moduli) - 1
-    # a uniform chain (the synthetic SimBackend moduli) is shift
-    # invariant; real prime chains get one level of slack because moving
-    # a region changes its rescale divisors and can add alignment units
-    uniform = len(set(float(q) for q in moduli[1:])) <= 1
-    margin = 0 if uniform else 1
     stats: dict = {
         "enabled": True,
-        "margin": margin,
         "rounds": [],
         "bootstraps_before": bootstrap_count(module),
         "targets_before": bootstrap_targets(module.main()),
@@ -440,26 +441,14 @@ def run_level_replan(module: Module, sihe_module: Module,
     plan: dict[int, dict] = {}
     for round_no in range(1, max_rounds + 1):
         proposal, rows = plan_bootstraps(
-            module.main(), table, max_level, margin, moduli)
+            module.main(), table, max_level, moduli)
         merged = {**plan, **proposal}
         if not proposal or merged == plan:
             break
-        candidate = cand_ctx = None
-        for relax_step in range(3):
-            attempt = _relax(merged, relax_step) if relax_step else merged
-            if not attempt:
-                break
-            try:
-                candidate, cand_ctx = lower_sihe_clone(
-                    sihe_module, moduli, scale, options, attempt,
-                    align_margin=context.get("align_margin"),
-                )
-            except LoweringError:
-                candidate = None
-                continue
-            merged = attempt
-            break
-        if candidate is None:
+        try:
+            candidate, cand_ctx = lower_to_ckks(
+                sihe_module, moduli, scale, options, merged)
+        except LoweringError:
             break
         opt_rows = optimize_module(
             candidate, "ckks", options.opt_level, cost_model=cost_model)
@@ -489,8 +478,7 @@ def run_level_replan(module: Module, sihe_module: Module,
         module.functions = candidate.functions
         module.constants = candidate.constants
         module.meta = candidate.meta
-        if "bootstrap_plan" in cand_ctx:
-            context["bootstrap_plan"] = cand_ctx["bootstrap_plan"]
+        context["bootstrap_plan"] = cand_ctx["bootstrap_plan"]
         plan = merged
         if stable:
             break

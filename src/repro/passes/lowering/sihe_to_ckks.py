@@ -15,8 +15,11 @@ analyses feeding it:
   (a "scale management unit").
 * **Bootstrapping placement** — ``sihe.bootstrap_hint`` markers (left
   before each ReLU) become ``ckks.bootstrap`` ops refreshing only to the
-  *minimal* level the next region needs; hints whose remaining budget
-  already suffices are deleted (dead-refresh elimination).
+  *minimal* level the next region needs: first its SIHE depth
+  requirement, then — when that runs the real chain dry — the need
+  measured on the lowered program
+  (:func:`repro.passes.levels.lower_to_ckks`); hints whose remaining
+  budget already suffices are deleted (dead-refresh elimination).
 * **Key analysis** — the set of rotation steps actually used is
   collected for exact key generation (paper RQ2's 84.8 % key-memory
   saving).
@@ -35,6 +38,23 @@ from repro.errors import LoweringError
 from repro.ir import CipherType, IRBuilder, Module
 from repro.ir.core import Function, Value
 from repro.ir.types import PlainType, VectorType
+
+
+def capacity_floors(moduli) -> list[float]:
+    """Cumulative modulus products: ``floors[L]`` = capacity at level L."""
+    caps: list[float] = []
+    product = 1.0
+    for q in moduli:
+        product *= float(q)
+        caps.append(product)
+    return caps
+
+
+def fits_capacity(scale: float, capacity: float) -> bool:
+    """Whether a value at ``scale`` is representable under ``capacity``:
+    the backends refuse any scale that reaches the remaining modulus
+    product (``NoiseBudgetExhausted``)."""
+    return capacity > scale * (1.0 + 1e-9)
 
 
 class DepthAnalysis:
@@ -99,36 +119,31 @@ class DepthAnalysis:
 
 
 class SiheToCkksLowering:
-    """The scheduled lowering; requires the chosen modulus chain."""
+    """The scheduled lowering; requires the chosen modulus chain.
 
-    #: levels of slack for scale-alignment units inside a region
-    ALIGN_MARGIN = 2
+    It always lowers to the end: a value that runs the chain dry (level
+    below 0, or a scale at or above the capacity of its level) clears
+    :attr:`fits` instead of raising, so the caller can measure the
+    finished program and raise the short refresh targets
+    (:func:`repro.passes.levels.lower_to_ckks`).
+    """
 
     def __init__(self, moduli: list[float], scale: float,
                  bootstrap_enabled: bool = True,
                  minimal_level_bootstrap: bool = True,
-                 hint_plan: dict[int, dict] | None = None,
-                 align_margin: int | None = None):
+                 hint_plan: dict[int, dict] | None = None):
         self.moduli = [float(q) for q in moduli]
-        #: refresh-target slack above the SIHE depth estimate; real
-        #: prime chains can cost more alignment units than the default
-        #: predicts, so the driver retries a failed lowering with wider
-        #: margins (the post-opt replanner then trims the slack back
-        #: down from measured needs)
-        self.align_margin = (self.ALIGN_MARGIN if align_margin is None
-                             else align_margin)
+        self.capacity = capacity_floors(self.moduli)
         self.scale = float(scale)
         self.max_level = len(moduli) - 1
         self.bootstrap_enabled = bootstrap_enabled
         #: False = refresh to the full chain (the expert behaviour); the
         #: ablation benchmarks flip this to isolate §4.4's optimisation
         self.minimal_level_bootstrap = minimal_level_bootstrap
-        #: per-hint overrides from the post-optimizer level replanner
-        #: (``repro.passes.levels``): hint index -> {"skip": True} or
-        #: {"target": level}.  A target override replaces the
-        #: requirement + ALIGN_MARGIN estimate with the replanner's
-        #: measured need; "skip" deletes the refresh because the
-        #: remaining budget covers its region.
+        #: per-hint overrides: hint index -> {"skip": True} or
+        #: {"target": level}.  A target replaces the hint's SIHE depth
+        #: requirement; "skip" deletes the refresh because the remaining
+        #: budget covers its region.
         self.hint_plan = dict(hint_plan or {})
 
     # -- state helpers ----------------------------------------------------
@@ -144,6 +159,8 @@ class SiheToCkksLowering:
         builder = IRBuilder(module, new_fn)
         self.builder = builder
         self.state: dict[int, tuple[float, int]] = {}
+        #: every emitted value fits the chain (see the class docstring)
+        self.fits = True
         self.rotations: set[int] = set()
         env: dict[int, object] = {}
         for old_p, new_p in zip(old.params, new_fn.params):
@@ -164,12 +181,15 @@ class SiheToCkksLowering:
         module.add_function(new_fn)
         context["rotation_steps"] = sorted(self.rotations)
         context["slots"] = slots
-        # region metadata for the level replanner: one row per
+        # region metadata for fitting the targets: one row per
         # ``sihe.bootstrap_hint`` in body order (the stable hint index
-        # carried on every emitted ``ckks.bootstrap`` as attrs["hint"])
+        # carried on every emitted ``ckks.bootstrap`` as attrs["hint"]),
+        # naming the value id each region starts from
         context["bootstrap_plan"] = list(self.hint_log)
 
     def _set(self, value: Value, scale: float, level: int) -> Value:
+        if level < 0 or not fits_capacity(scale, self.capacity[level]):
+            self.fits = False
         self.state[value.id] = (scale, level)
         value.meta["scale"] = scale
         value.meta["level"] = level
@@ -186,12 +206,15 @@ class SiheToCkksLowering:
     def _emit(self, opcode, operands, attrs=None, hint=""):
         return self.builder.emit(opcode, operands, attrs or {}, hint)
 
+    def _prime(self, level: int) -> float:
+        """The prime a rescale at ``level`` divides by; below the chain
+        (an unfitting lowering) the nominal scale stands in for it."""
+        return self.moduli[level] if level > 0 else self.scale
+
     def _rescale(self, v: Value) -> Value:
         s, l = self.state[v.id]
-        if l == 0:
-            raise LoweringError("rescale below level 0: chain too short")
         out = self._emit("ckks.rescale", [v], hint="rs")
-        return self._set(out, s / self.moduli[l], l - 1)
+        return self._set(out, s / self._prime(l), l - 1)
 
     def _normalize(self, v: Value) -> Value:
         """Bring the scale back near Δ (the lazy-rescale trigger)."""
@@ -234,7 +257,7 @@ class SiheToCkksLowering:
                 f"cannot align from level {l} to ({scale:.3g}, {level})"
             )
         v = self._modswitch_to(v, level + 1)
-        q = self.moduli[level + 1]
+        q = self._prime(level + 1)
         comp_scale = scale * q / self._scale_of(v)
         if comp_scale < 1.0:
             raise LoweringError("compensating scale below 1")
@@ -347,37 +370,26 @@ class SiheToCkksLowering:
         arg = self._normalize(arg)
         if not math.isclose(self._scale_of(arg), self.scale, rel_tol=0.3):
             arg = self._align_to(arg, self.scale, self._level_of(arg) - 1)
+        level_in = self._level_of(arg)
+        row = {"hint": hint, "requirement": requirement, "status": "dead",
+               "target": None, "level_in": level_in, "value": arg.id}
+        self.hint_log.append(row)
         if plan is not None and plan.get("skip"):
             # the replanner measured that the remaining budget covers
             # this region on the optimized DAG
-            self.hint_log.append({
-                "hint": hint, "requirement": requirement,
-                "status": "skipped", "target": None,
-                "level_in": self._level_of(arg),
-            })
+            row["status"] = "skipped"
             return arg
         if plan is not None and plan.get("target") is not None:
-            # measured need from the final DAG replaces the SIHE-level
-            # estimate (and its alignment margin)
             target = min(int(plan["target"]), self.max_level)
         elif self.minimal_level_bootstrap:
-            target = min(requirement + self.align_margin, self.max_level)
+            target = min(requirement, self.max_level)
         else:
             target = self.max_level
-        current = self._level_of(arg)
-        if not self.bootstrap_enabled or current >= target:
-            self.hint_log.append({
-                "hint": hint, "requirement": requirement,
-                "status": "dead", "target": None, "level_in": current,
-            })
+        if not self.bootstrap_enabled or level_in >= target:
             return arg  # dead-refresh elimination
         out = self._emit(
             "ckks.bootstrap", [arg],
             {"target_level": target, "region": "Bootstrap", "hint": hint},
         )
-        self.hint_log.append({
-            "hint": hint, "requirement": requirement,
-            "status": "emitted", "target": target,
-            "level_in": self._level_of(arg),
-        })
+        row.update(status="emitted", target=target, value=out.id)
         return self._set(out, self.scale, target)

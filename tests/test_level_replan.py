@@ -3,18 +3,29 @@
 Unit tests drive the analyses over hand-built CKKS DAGs (where every
 rescale/bootstrap position is known exactly); the end-to-end tests
 compile a bootstrap-deep ResNet-lite at every opt level and check the
-replanner's contract: fewer/lower refreshes, bounded fixpoint, and
-bit-identical decrypted outputs on the noiseless simulator.
+replanner's contract: no refresh target above its region's measured
+need, bounded fixpoint, and bit-identical decrypted outputs on the
+noiseless simulator.  The fitting lowering (``lower_to_ckks``) is checked
+on real prime chains: no slack, few lowerings on a chain that is too
+short, and an untouched SIHE input.
 """
+
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_level_replan import _params, build_residual_model
+from benchmarks.e2e import workloads
 from repro.compiler import ACECompiler, CompileOptions
+from repro.errors import LoweringError
+from repro.ir import print_module
 from repro.ir.core import Function, Op, Value
 from repro.ir.types import Cipher3Type, CipherType
 from repro.nn import model_to_onnx, resnet_mini
 from repro.onnx import load_model_bytes, model_to_bytes
+from repro.passes import levels
 from repro.passes.cost import CostModel
 from repro.passes.levels import (
     _global_relin_placement,
@@ -26,6 +37,7 @@ from repro.passes.levels import (
     replan_relins,
     summarize_levels_stats,
 )
+from repro.passes.lowering.sihe_to_ckks import SiheToCkksLowering
 from repro.polymath import kernels
 
 DELTA = 2.0 ** 56
@@ -266,8 +278,28 @@ def programs():
     return {level: _compile(level) for level in (0, 1, 2)}
 
 
+def _chain(program) -> list[float]:
+    """The modulus chain the program was lowered against."""
+    params = program.options.exact_params
+    if params is not None:
+        return [float(q) for q in params.moduli]
+    scheme = program.scheme
+    return ([2.0 ** scheme.first_prime_bits]
+            + [2.0 ** scheme.scale_bits] * scheme.num_levels)
+
+
+def _slack(program) -> list[tuple[int, int]]:
+    """(target, measured need) of every refresh whose target is not its
+    region's need on the final IR."""
+    fn = program.module.main()
+    need = consumed_need(fn, _chain(program))
+    return [(op.attrs["target_level"], need.get(op.result.id, 0))
+            for op in fn.body if op.opcode == "ckks.bootstrap"
+            and op.attrs["target_level"] != need.get(op.result.id, 0)]
+
+
 class TestReplanEndToEnd:
-    def test_fixpoint_bounded_and_targets_lowered(self, programs):
+    def test_fixpoint_bounded_and_targets_fitted(self, programs):
         _, p0 = programs[0]
         _, p2 = programs[2]
         stats = p2.stats["levels"]
@@ -276,7 +308,7 @@ class TestReplanEndToEnd:
         assert stats["cost_after"] <= stats["cost_before"]
         before, after = stats["targets_before"], stats["targets_after"]
         assert len(after) <= len(before)
-        assert sum(after) < sum(before)  # at least one refresh retargeted
+        assert after and not _slack(p2)
         assert bootstrap_targets(p2.module.main()) == after
         # the replanner only ever shrinks the refresh budget vs opt 0
         assert max(p2.bootstrap_targets) <= max(p0.bootstrap_targets)
@@ -326,3 +358,95 @@ class TestReplanEndToEnd:
         out = program.run(
             program.make_sim_backend(inject_noise=False, seed=0), img)[0]
         assert np.array_equal(base, out)
+
+
+# ---------------------------------------------------------------------------
+# the fitting lowering on real prime chains
+# ---------------------------------------------------------------------------
+
+def _relu_boot(num_levels=None):
+    workload = workloads.get("relu_boot")
+    options = workload.options()
+    if num_levels is not None:
+        options.exact_params = _params(num_levels)
+    return load_model_bytes(workload.model_bytes()), options
+
+
+def _residual():
+    return build_residual_model(features=8, plain_layers=1), CompileOptions(
+        exact_params=_params(17), poly_mode="off", sign_iterations=2)
+
+
+@pytest.mark.parametrize("opt_level", [0, 1, 2])
+@pytest.mark.parametrize("model", ["relu_boot", "residual", "resnet_mini"])
+def test_no_refresh_has_slack(model, opt_level, programs):
+    """Every refresh targets exactly its region's measured need."""
+    if model == "resnet_mini":
+        program = programs[opt_level][1]
+    else:
+        proto, options = _relu_boot() if model == "relu_boot" \
+            else _residual()
+        options.opt_level = opt_level
+        program = ACECompiler(proto, options).compile()
+    assert program.bootstrap_targets
+    assert _slack(program) == []
+
+
+def _count_lowerings(proto, options):
+    calls = []
+    real = SiheToCkksLowering.run
+
+    def counting(self, module, context):
+        calls.append(1)
+        return real(self, module, context)
+
+    with mock.patch.object(SiheToCkksLowering, "run", counting):
+        try:
+            return ACECompiler(proto, options).compile(), len(calls)
+        except LoweringError:
+            return None, len(calls)
+
+
+def test_short_chain_fails_in_two_lowerings():
+    program, lowerings = _count_lowerings(*_relu_boot(num_levels=15))
+    assert program is None and lowerings <= 2
+    program, _ = _count_lowerings(*_relu_boot(num_levels=16))
+    assert program.bootstrap_targets
+    assert set(program.bootstrap_targets) == {16}
+
+
+def _ir_text(module) -> str:
+    """Printed IR with value names renumbered in order of appearance."""
+    names: dict[str, str] = {}
+    return re.sub(r"%[A-Za-z_]+_\d+",
+                  lambda m: names.setdefault(m.group(0), f"%v{len(names)}"),
+                  print_module(module))
+
+
+def test_lowering_leaves_its_sihe_input_untouched():
+    proto, options = _residual()
+    captured = []
+    real = levels.lower_to_ckks
+
+    def capturing(sihe_module, *args, **kwargs):
+        # the driver's pass rebinds its module's tables to the result
+        captured.append(levels.shallow_copy(sihe_module))
+        return real(sihe_module, *args, **kwargs)
+
+    with mock.patch.object(levels, "lower_to_ckks", capturing):
+        program = ACECompiler(proto, options).compile()
+    sihe = captured[0]
+    fn = sihe.main()
+
+    def snapshot():
+        return ([(op.opcode, [o.id for o in op.operands],
+                  [(r.id, dict(r.meta)) for r in op.results],
+                  dict(op.attrs)) for op in fn.body],
+                sorted(sihe.constants), sorted(sihe.functions))
+
+    before = snapshot()
+    moduli = _chain(program)
+    first, _ = real(sihe, moduli, program.scheme.scale, options)
+    second, _ = real(sihe, moduli, program.scheme.scale, options)
+    assert snapshot() == before
+    assert _ir_text(first) == _ir_text(second)
