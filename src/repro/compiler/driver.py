@@ -5,10 +5,18 @@ Mirrors the paper's pipeline (Figure 3): front end -> NN IR -> VECTOR IR
 selection between the SIHE and CKKS stages and per-IR-level pass timing
 (the raw data of Figure 5).
 
-The lowering through VECTOR depends on the slot count, while the ring
-degree is only known after the SIHE-level depth analysis; the driver
-therefore runs the front half provisionally and re-lowers once if the
-parameter selector picks a larger N (paper §4.4: N = max(N1, N2)).
+The model is imported, range-calibrated and fused once per compile;
+every lowering works on a clone of that module.  The lowering through
+VECTOR depends on the slot count, while the ring degree is only known
+after the SIHE-level depth analysis; the driver therefore runs the front
+half provisionally and re-lowers once if the parameter selector picks a
+larger N (paper §4.4: N = max(N1, N2)).
+
+Every later decision is a proposal against one plan — a layout (§4.2)
+and per-hint refresh overrides (§4.4).  The layout search and the
+refresh planner only propose; :meth:`ACECompiler._lower` lowers each
+proposal and prices its final CKKS IR, and ``compile`` adopts it only
+when :func:`repro.passes.cost.cheaper` says so.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from repro.onnx.protos import ModelProto
 from repro.params import ParameterSelector, SelectedParameters
 from repro.polymath import kernels
 from repro.passes import layout_tune, levels
-from repro.passes.cost import CostModel
+from repro.passes.cost import CostModel, cheaper
 from repro.passes.frontend import onnx_to_nn
 from repro.passes.opt import (
+    bootstrap_count,
     make_opt_pass,
     recompute_rotation_steps,
     summarize_opt_stats,
@@ -40,6 +49,7 @@ from repro.runtime.ckks_interp import run_ckks_function
 from repro.runtime.executor import resolve_jobs
 from repro.runtime.nn_interp import run_nn_function
 from repro.utils.bits import next_power_of_two
+from repro.utils.timing import TimerRegistry
 
 
 _CALIBRATED_OPS = ("nn.relu", "nn.sigmoid", "nn.tanh", "nn.exp", "nn.gelu")
@@ -271,41 +281,116 @@ class ACECompiler:
                 f"unknown layout_tune mode {opts.layout_tune!r} "
                 "(heuristic|search)"
             )
-        timers = PassManager()
-        slots, selection, module, context = self._select_parameters(timers)
-        scheme, moduli = self._build_scheme(
-            slots, selection, context["depth_analysis"])
-        pricer = CostModel(scheme.poly_degree, scheme.num_special_primes)
+        self._timers = TimerRegistry()
+        nn = self._import()
+        slots, selection, front = self._select_parameters(nn)
+        # the chain and the pricer every lowering of this compile targets
+        self._scheme, self._moduli = self._build_scheme(
+            slots, selection, front[1]["depth_analysis"])
+        pricer = self._pricer = CostModel(self._scheme.poly_degree,
+                                          self._scheme.num_special_primes)
+        # the initial plan: the given (or heuristic) layout, no hints
+        module, context, cost = self._lower(front)
         layout_stats: dict = {"mode": opts.layout_tune}
-        candidate = None
         if opts.layout_plan is not None:
             layout_stats["plan"] = opts.layout_plan.describe()
         elif opts.layout_tune == "search":
-            result = self._search_plan(slots, selection,
-                                       context["nn_module"])
+            # the search ranks layouts at the VECTOR level (fixed limbs,
+            # no refreshes), so its argmin is priced again on its final
+            # CKKS IR like every other proposal
+            result = self._search_plan(nn, slots, selection)
             layout_stats.update(result.info, adopted=False)
-            candidate = self._lower_plan(timers, slots, result.plan, scheme,
-                                         moduli, pricer)
-        self._lower_ckks(timers, module, context, scheme, moduli, pricer)
-        if candidate is not None:
-            # the search prices candidates at the VECTOR level (fixed
-            # limbs, no bootstrap/replan view), so a plan that looked
-            # cheaper there can lose once levels and refreshes are real:
-            # keep whichever *final* CKKS IR is cheaper
-            costs = {"heuristic": pricer.function_cost(module.main()),
-                     "chosen": pricer.function_cost(candidate[0].main())}
-            layout_stats["predicted_final_seconds"] = costs
-            if costs["chosen"] <= costs["heuristic"]:
-                module, context = candidate
-                layout_stats["adopted"] = True
+            candidate = None
+            if len(result.plan):
+                try:
+                    plan_front = self._front(nn, slots, result.plan)
+                    candidate = self._lower(plan_front)
+                except (LoweringError, CompileError):
+                    pass  # the plan does not fit this scheme
+            if candidate is not None:
+                layout_stats["predicted_final_seconds"] = {
+                    "heuristic": cost, "chosen": candidate[2]}
+                if cheaper(candidate[2], cost):
+                    front, (module, context, cost) = plan_front, candidate
+                    layout_stats["adopted"] = True
+        levels_stats = None
+        if opts.opt_level >= 2:
+            levels_stats = {
+                "enabled": True, "rounds": [],
+                "bootstraps_before": bootstrap_count(module),
+                "targets_before": levels.bootstrap_targets(module.main()),
+                "cost_before": cost,
+            }
+            # refresh hints are proposed from the optimized IR only when
+            # refreshes are both enabled and minimally targeted (the
+            # ablation flag pins them to the full chain on purpose)
+            rounds = 3 if (opts.bootstrap_enabled
+                           and opts.minimal_level_bootstrap) else 0
+            hints: dict[int, dict] = {}
+            for round_no in range(1, rounds + 1):
+                with self._timers.measure("CKKS"):
+                    proposal = levels.plan_bootstraps(
+                        module.main(), pricer, len(self._moduli) - 1,
+                        self._moduli)[0]
+                merged = {**hints, **proposal}
+                if merged == hints:
+                    break
+                try:
+                    new_module, new_context, new_cost = self._lower(
+                        front, merged)
+                except LoweringError:
+                    break
+                row = {
+                    "round": round_no,
+                    "proposal": {
+                        h: ("skip" if d.get("skip") else d.get("target"))
+                        for h, d in merged.items()
+                    },
+                    "bootstraps_before": bootstrap_count(module),
+                    "bootstraps_after": bootstrap_count(new_module),
+                    "ops_before": module.main().op_count(),
+                    "ops_after": new_module.main().op_count(),
+                    "cost_before": cost,
+                    "cost_after": new_cost,
+                    "adopted": cheaper(new_cost, cost),
+                }
+                levels_stats["rounds"].append(row)
+                if not row["adopted"]:
+                    break
+                module, context, cost = new_module, new_context, new_cost
+                hints = merged
+                if (row["ops_after"] == row["ops_before"]
+                        and row["bootstraps_after"]
+                        == row["bootstraps_before"]):
+                    break  # the program is stable
+        # global relin placement, then the rotation-key working set and
+        # the wavefront/DAG schedule: properties of the *final* op list
+        pm = PassManager(timers=self._timers)
+        if levels_stats is not None:
+            pm.add(Pass(
+                "ckks-relin-placement", "CKKS",
+                lambda m, c: levels_stats.__setitem__(
+                    "relin", levels.replan_relins(m.main(), pricer)),
+                "whole-DAG relinearisation placement",
+            ))
+        pm.add(Pass("rotation-key-analysis", "CKKS",
+                    recompute_rotation_steps))
+        pm.add(schedule_pass())
+        pm.run(module, context)
+        final_cost = pricer.function_cost(module.main())
+        if levels_stats is not None:
+            levels_stats.update(
+                bootstraps_after=bootstrap_count(module),
+                targets_after=levels.bootstrap_targets(module.main()),
+                cost_after=final_cost,
+            )
         stats = {
             "ckks_ops": module.main().op_count(),
             "rotations": len(context["rotation_steps"]),
             "schedule": context["schedules"][module.main().name].describe(),
             "opt": summarize_opt_stats(context.get("opt_stats", []),
                                        opts.opt_level),
-            "levels": levels.summarize_levels_stats(
-                context.get("levels_stats")),
+            "levels": levels.summarize_levels_stats(levels_stats),
             # which NTT/RNS kernel backend executions will run on (the
             # process-global --kernel / REPRO_KERNEL selection)
             "kernel_backend": kernels.active_name(),
@@ -313,55 +398,77 @@ class ACECompiler:
         # predicted end-to-end seconds of the *final* CKKS IR; `repro
         # run` / the layout bench pair it with a measurement via
         # note_measured_seconds
-        layout_stats["predicted_seconds"] = pricer.function_cost(
-            module.main())
+        layout_stats["predicted_seconds"] = final_cost
         layout_stats["schedule_max_width"] = stats["schedule"].get(
             "max_width")
         stats["layout"] = layout_stats
         if opts.poly_mode != "off":
-            stats["poly"] = self._poly_stage(timers, module, context, scheme)
+            stats["poly"] = self._poly_stage(module, context)
         return CompiledProgram(
             module=module,
             options=opts,
             selection=selection,
-            scheme=scheme,
+            scheme=self._scheme,
             rotation_steps=context["rotation_steps"],
             input_layouts=context["input_layouts"],
             output_layouts=context["output_layouts"],
-            pass_timers=dict(timers.timers.totals),
+            pass_timers=dict(self._timers.totals),
             depth=context["depth_analysis"],
             stats=stats,
         )
 
     # -- internals ---------------------------------------------------------
 
-    def _select_parameters(self, timers):
-        """Front-lower at a provisional slot count and select security
-        parameters, re-lowering while the activations or the selected
-        ring need more slots (see the module docstring)."""
+    def _import(self) -> Module:
+        """Import, range-calibrate and fuse the model — once per compile;
+        every lowering works on a clone (:meth:`_front`)."""
         opts = self.options
-        if opts.exact_params is not None:
-            slots = opts.exact_params.num_slots
-        else:
-            slots = opts.slots or (opts.batch_size * self._minimum_slots())
+        with self._timers.measure("Others"):
+            module = onnx_to_nn(self.model)
+        pm = PassManager(timers=self._timers)
+        if opts.calibration_inputs:
+            pm.add(Pass(
+                "range-calibration", "NN",
+                lambda m, c: _calibrate_relu_bounds(
+                    m, opts.calibration_inputs),
+                "data-driven per-ReLU activation bounds",
+            ))
+        pm.add(Pass("nn-operator-fusion", "NN", nn_operator_fusion))
+        pm.run(module)
+        return module
+
+    def _select_parameters(self, nn: Module):
+        """Front-lower the given (or heuristic) layout at a provisional
+        slot count and select security parameters, re-lowering while the
+        activations or the selected ring need more slots (see the module
+        docstring).  Returns ``(slots, selection, front)``."""
+        opts = self.options
+        given = (opts.exact_params.num_slots
+                 if opts.exact_params is not None else None)
+        slots = given or opts.slots or (
+            opts.batch_size * self._minimum_slots())
         for _attempt in range(16):
             try:
-                module, context = self._lower_front(timers, slots,
-                                                    opts.layout_plan)
+                front = self._front(nn, slots, opts.layout_plan)
             except LoweringError:
                 # activations did not fit the provisional slot count
                 slots *= 2
                 continue
+            if given is not None and slots > given:
+                raise CompileError(
+                    f"the model needs {slots} slots but the exact "
+                    f"parameters give {given}"
+                )
             selection = ParameterSelector(opts.security_bits).select(
-                depth=context["depth_analysis"].max_depth
+                depth=front[1]["depth_analysis"].max_depth
                 + opts.level_margin,
                 simd_width=slots,
                 log_scale=opts.log_scale,
                 log_q0=opts.log_q0,
             )
             required_slots = selection.degree // 2
-            if opts.exact_params is not None or required_slots <= slots:
-                return slots, selection, module, context
+            if given is not None or required_slots <= slots:
+                return slots, selection, front
             slots = required_slots
         raise CompileError("parameter selection did not converge")
 
@@ -401,30 +508,28 @@ class ACECompiler:
         )
         return scheme, [float(q) for q in params.moduli]
 
-    def _search_plan(self, slots, selection, nn_module):
-        """Search per-layer packings on the fused NN module snapshot
-        (cleartext numpy at the VECTOR level — a candidate costs
-        milliseconds); returns the argmin plan and the search's stats."""
+    def _search_plan(self, nn: Module, slots: int, selection):
+        """Propose a layout: search per-layer packings, pricing each
+        candidate on this compiler's own front half stopped after the
+        vector optimizer (cleartext numpy — a candidate costs
+        milliseconds, not a compile) with a calibrated pricer; returns
+        the argmin plan and the search's stats."""
         model = CostModel.calibrated(
             poly_degree=2 * slots,
             num_special_primes=max(1, selection.num_special_primes),
         )
-        return layout_tune.search_plan(
-            nn_module, slots, self.options, model, resolve_jobs(None))
+        jobs = resolve_jobs(None)
 
-    def _lower_plan(self, timers, slots, plan, scheme, moduli, pricer):
-        """One full verified lowering of a searched plan into the scheme
-        already built for the heuristic.  Returns ``(module, context)``,
-        or None when there is nothing to weigh against the heuristic:
-        the search kept it, or the plan does not lower."""
-        if not len(plan):
-            return None
-        try:
-            module, context = self._lower_front(timers, slots, plan)
-            self._lower_ckks(timers, module, context, scheme, moduli, pricer)
-        except (LoweringError, CompileError):
-            return None
-        return module, context
+        def price(layout) -> float:
+            try:
+                vector, _ = self._front(nn, slots, layout, sihe=False)
+            except LoweringError:
+                return float("inf")
+            return model.function_cost(vector.main(), jobs)
+
+        result = layout_tune.search_plan(nn, slots, self.options, price)
+        result.info["jobs"] = jobs
+        return result
 
     def _minimum_slots(self) -> int:
         largest = 1
@@ -437,93 +542,75 @@ class ACECompiler:
             largest = max(largest, size)
         return next_power_of_two(max(largest, 2))
 
-    def _lower_front(self, timers: PassManager, slots: int,
-                     layout_plan=None):
+    def _front(self, nn: Module, slots: int, layout, sihe: bool = True):
+        """The front half of a lowering, on a clone of the fused module:
+        NN -> VECTOR under ``layout`` and the vector optimizer, then —
+        unless ``sihe`` is false, which is how the layout search prices
+        a candidate — VECTOR -> SIHE, the SIHE optimizer and the depth
+        analysis.  Returns ``(module, context)``; raises
+        ``LoweringError`` when the activations do not fit ``slots``."""
         opts = self.options
-        context: dict = {}
-        module_holder: dict = {}
-
-        def import_pass(_m, ctx):
-            module_holder["module"] = onnx_to_nn(self.model)
-
-        shell = Module("shell")
-        pm = PassManager(timers=timers.timers, verify_between=False)
-        pm.add(Pass("onnx-import", "Others", import_pass))
-        if opts.calibration_inputs:
-            pm.add(Pass(
-                "range-calibration", "NN",
-                lambda m, c: _calibrate_relu_bounds(
-                    module_holder["module"], opts.calibration_inputs
-                ),
-                "data-driven per-ReLU activation bounds",
-            ))
-        pm.run(shell, context)
-        module = module_holder["module"]
-
-        pm2 = PassManager(timers=timers.timers)
-        pm2.add(Pass("nn-operator-fusion", "NN", nn_operator_fusion))
-        if opts.layout_tune == "search" and opts.layout_plan is None:
-            # snapshot the fused NN module: the layout search enumerates
-            # and costs candidate plans against it (layer keys are the
-            # fused module's op indices)
-            pm2.add(Pass(
-                "nn-snapshot", "NN",
-                lambda m, c: c.__setitem__(
-                    "nn_module", levels.clone_module(m)),
-            ))
-        pm2.add(Pass(
+        pm = PassManager(timers=self._timers)
+        pm.add(Pass(
             "nn-to-vector", "VECTOR",
             NnToVectorLowering(slots, opts.gemm_strategy,
                                opts.batch_size,
-                               layout_plan=layout_plan).run,
+                               layout_plan=layout).run,
             "data layout selection, batching, conv/matmul optimisation",
         ))
         if opts.opt_level >= 1:
-            pm2.add(Pass(
+            pm.add(Pass(
                 "vector-opt", "VECTOR",
                 make_opt_pass("vector", opts.opt_level),
                 "op reduction: CSE, roll dedup/composition",
             ))
-        pm2.add(Pass(
-            "vector-to-sihe", "SIHE",
-            VectorToSiheLowering(opts.sign_iterations, opts.relu_bound).run,
-            "FHE computation recognition, nonlinear approximation",
-        ))
-        if opts.opt_level >= 1:
-            pm2.add(Pass(
-                "sihe-opt", "SIHE",
-                make_opt_pass("sihe", opts.opt_level),
-                "op reduction: CSE, rotation dedup/composition",
+        if sihe:
+            pm.add(Pass(
+                "vector-to-sihe", "SIHE",
+                VectorToSiheLowering(opts.sign_iterations,
+                                     opts.relu_bound).run,
+                "FHE computation recognition, nonlinear approximation",
             ))
-        pm2.add(Pass(
-            "sihe-depth-analysis", "CKKS",
-            lambda m, c: c.__setitem__(
-                "depth_analysis", DepthAnalysis(m.main())
-            ),
-        ))
-        pm2.run(module, context)
-        return module, context
+            if opts.opt_level >= 1:
+                pm.add(Pass(
+                    "sihe-opt", "SIHE",
+                    make_opt_pass("sihe", opts.opt_level),
+                    "op reduction: CSE, rotation dedup/composition",
+                ))
+            pm.add(Pass(
+                "sihe-depth-analysis", "CKKS",
+                lambda m, c: c.__setitem__(
+                    "depth_analysis", DepthAnalysis(m.main())
+                ),
+            ))
+        module = levels.clone_module(nn)
+        return module, pm.run(module, {})
 
-    def _lower_ckks(self, timers, module, context, scheme: SchemeConfig,
-                    moduli: list[float], pricer: CostModel):
+    def _lower(self, front, hints: dict[int, dict] | None = None):
+        """Lower one plan into the selected scheme: ``(module, context,
+        cost)``.
+
+        A plan is a layout plus per-hint refresh overrides; ``front`` is
+        the layout's SIHE half (:meth:`_front`).  The CKKS lowering only
+        reads it, so every hint proposal for one layout shares it.
+        ``cost`` prices the optimized, verified CKKS IR.  Raises
+        ``LoweringError`` when no refresh target can fit the chain.
+        """
         opts = self.options
-        context["cost_model"] = pricer
-        # the replanner re-runs the scale/level assignment from the SIHE
-        # module, which the lowering pass replaces in ``module``; the
-        # lowering never mutates the SIHE function, so keeping its tables
-        # is enough
-        sihe_snapshot = levels.shallow_copy(module)
+        sihe, front_context = front
+        context = dict(front_context, cost_model=self._pricer,
+                       opt_stats=list(front_context.get("opt_stats", [])))
 
-        def lower_sihe(m, ctx):
-            ckks, cand_ctx = levels.lower_to_ckks(m, moduli, scheme.scale,
-                                                  opts)
+        def to_ckks(m, ctx):
+            ckks, ckks_ctx = levels.lower_to_ckks(
+                m, self._moduli, self._scheme.scale, opts, hints)
             m.functions, m.constants, m.meta = (
                 ckks.functions, ckks.constants, ckks.meta)
-            ctx.update(cand_ctx)
+            ctx.update(ckks_ctx)
 
-        pm = PassManager(timers=timers.timers)
+        pm = PassManager(timers=self._timers)
         pm.add(Pass(
-            "sihe-to-ckks", "CKKS", lower_sihe,
+            "sihe-to-ckks", "CKKS", to_ckks,
             "rescale/relin/bootstrap placement, key analysis",
         ))
         if opts.opt_level >= 1:
@@ -533,38 +620,19 @@ class ACECompiler:
                 "op reduction: CSE, rotation composition, lazy relin, "
                 "rescale sinking",
             ))
-        if opts.opt_level >= 2:
-            # bootstrap re-placement only makes sense when refreshes are
-            # both enabled and minimally targeted (the ablation flag
-            # pins refreshes to the full chain on purpose); the global
-            # relin placement inside the pass runs regardless
-            boot_rounds = 3 if (opts.bootstrap_enabled
-                                and opts.minimal_level_bootstrap) else 0
-            pm.add(Pass(
-                "ckks-level-replan", "CKKS",
-                lambda m, c: levels.run_level_replan(
-                    m, sihe_snapshot, moduli, scheme.scale, opts, pricer,
-                    c, max_rounds=boot_rounds,
-                ),
-                "post-opt bootstrap/level re-planning to fixpoint",
-            ))
-        # the rotation-key working set and the wavefront/DAG schedule
-        # are both properties of the *final* op list, so they follow
-        # every rewrite (at all opt levels)
-        pm.add(Pass("rotation-key-analysis", "CKKS",
-                    recompute_rotation_steps))
-        pm.add(schedule_pass())
+        module = levels.shallow_copy(sihe)
         pm.run(module, context)
+        return module, context, self._pricer.function_cost(module.main())
 
-    def _poly_stage(self, timers, module, context, scheme) -> dict:
+    def _poly_stage(self, module, context) -> dict:
         from repro.passes.lowering.ckks_to_poly import poly_statistics
 
         result: dict = {}
-        pm = PassManager(timers=timers.timers, verify_between=False)
+        pm = PassManager(timers=self._timers, verify_between=False)
         pm.add(Pass(
             "ckks-to-poly", "POLY",
             lambda m, c: result.update(
-                poly_statistics(m.main(), scheme,
+                poly_statistics(m.main(), self._scheme,
                                 full=self.options.poly_mode == "full",
                                 module=m)
             ),

@@ -70,6 +70,14 @@ _calibration_memo: dict[tuple[int, int, int], "CostModel"] = {}
 _calibration_lock = threading.Lock()
 
 
+def cheaper(new: float, old: float) -> bool:
+    """The one adoption rule: ``new`` prices strictly below ``old``.
+
+    Relative 1e-12, so float noise never flips a decision and a tie
+    keeps the current program."""
+    return new < old * (1.0 - 1e-12)
+
+
 @dataclass
 class CostModel:
     """Per-op timing formulas, parameterised by ring degree N."""

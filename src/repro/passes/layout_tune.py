@@ -10,18 +10,18 @@ single hand-chosen packing across a model zoo.  This pass turns
   conv output packings, global-average-pool placements, and GEMM
   strategies including baby-heavy BSGS splits
   (:func:`repro.passes.layout.bsgs_giant_candidates`);
-* :func:`plan_cost` lowers a candidate :class:`LayoutPlan` through the
-  real ``NnToVectorLowering`` + vector optimizer and prices the post-opt
-  VECTOR IR with :meth:`repro.passes.cost.CostModel.function_cost` —
-  the same pricer every other gate uses: rotation batches per source
-  priced *hoisted*, scaled by the wavefront-schedule factor at the
-  effective job count, so a plan that narrows the schedule pays for it;
 * :func:`search_plan` runs greedy coordinate descent over the layers
-  (sweeps until no single-layer change improves), returning the argmin
-  plan.  The driver lowers it through the normal pipeline, prices the
-  final CKKS IR with the same pricer and keeps it only if it is cheaper
-  than the heuristic's — rotation-key analysis and scheduling always
-  run last there, so the generated keys match the tuned program.
+  (sweeps until no single-layer change improves), ranking candidate
+  :class:`LayoutPlan` objects through a ``price(layout)`` callable: the
+  driver's own front half (``NnToVectorLowering`` + vector optimizer)
+  priced with :meth:`repro.passes.cost.CostModel.function_cost` — the
+  pricer every other gate uses: rotation batches per source priced
+  *hoisted*, scaled by the wavefront-schedule factor at the effective
+  job count, so a plan that narrows the schedule pays for it.  The
+  argmin plan is only a proposal: the driver lowers it through its one
+  lowering, prices the final CKKS IR and adopts it only if it is
+  cheaper than the heuristic's — rotation-key analysis and scheduling
+  run after adoption, so the generated keys match the tuned program.
 
 The search itself costs candidates at the VECTOR level on cleartext
 numpy plans: a candidate evaluation is a few milliseconds, not a compile.
@@ -33,11 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import LoweringError
+from repro.passes.cost import cheaper
 from repro.passes.layout import LayoutPlan, bsgs_giant_candidates
-from repro.passes.levels import clone_module
-from repro.passes.lowering.nn_to_vector import NnToVectorLowering
-from repro.passes.opt import make_opt_pass
 from repro.utils.bits import next_power_of_two
 
 
@@ -109,35 +106,15 @@ class TuneResult:
     info: dict = field(default_factory=dict)
 
 
-def plan_cost(nn_module, plan, slots: int, options, model,
-              jobs: int = 1) -> float:
-    """Modeled seconds of one candidate plan (``inf`` if it can't lower).
-
-    Mirrors the driver's front pipeline — clone, ``NnToVectorLowering``
-    with the plan, vector optimizer at the session's opt level — so the
-    cost is measured on the same IR the adopted plan will produce.
-    """
-    candidate = clone_module(nn_module)
-    context: dict = {}
-    try:
-        NnToVectorLowering(
-            slots, options.gemm_strategy, options.batch_size,
-            layout_plan=plan,
-        ).run(candidate, context)
-        if options.opt_level >= 1:
-            make_opt_pass("vector", options.opt_level)(candidate, context)
-    except LoweringError:
-        return float("inf")
-    return model.function_cost(candidate.main(), jobs)
-
-
-def search_plan(nn_module, slots: int, options, model,
-                jobs: int = 1, max_sweeps: int = 2,
-                max_evals: int = 96) -> TuneResult:
+def search_plan(nn_module, slots: int, options, price,
+                max_sweeps: int = 2, max_evals: int = 96) -> TuneResult:
     """Greedy coordinate descent over the per-layer candidates.
 
+    ``price(layout)`` returns the modeled seconds of one candidate plan
+    (``None`` is the heuristic; ``inf`` when the plan cannot lower).
     Starts from the heuristic (empty plan); each sweep tries every
-    alternative choice per layer and keeps strict improvements.  Layers
+    alternative choice per layer and keeps strict improvements
+    (:func:`repro.passes.cost.cheaper`).  Layers
     interact (an input packing changes every downstream offset family),
     which is why the sweep repeats until a full pass adopts nothing.
     ``max_evals`` bounds the candidate lowerings for very deep models;
@@ -147,7 +124,7 @@ def search_plan(nn_module, slots: int, options, model,
         nn_module, slots, options.batch_size, options.gemm_strategy
     )
     plan = LayoutPlan()
-    baseline = plan_cost(nn_module, None, slots, options, model, jobs)
+    baseline = price(None)
     best_cost = baseline
     evaluated = 0
     truncated = False
@@ -163,9 +140,8 @@ def search_plan(nn_module, slots: int, options, model,
                     break
                 trial = plan.with_choice(key, choice)
                 evaluated += 1
-                cost = plan_cost(nn_module, trial, slots, options, model,
-                                 jobs)
-                if cost < best_cost * (1.0 - 1e-9):
+                cost = price(trial)
+                if cheaper(cost, best_cost):
                     plan, best_cost, current = trial, cost, choice
                     improved = True
             if truncated:
@@ -179,7 +155,6 @@ def search_plan(nn_module, slots: int, options, model,
     })
     info = {
         "slots": slots,
-        "jobs": jobs,
         "layers_considered": len(candidates),
         "candidates_evaluated": evaluated,
         "search_truncated": truncated,

@@ -26,14 +26,15 @@ global bootstrap placement and CHET's whole-program costed planning):
   measured minimal need.  Every proposal is gated by the
   :class:`~repro.passes.cost.CostModel` (a skipped refresh must pay for
   the deeper — hence wider — region ops it leaves behind).
-* :func:`run_level_replan` — the driver hook: re-lowers the preserved
-  SIHE module under the proposed plan (each target a floor the fitting
-  lowering may raise), re-optimizes, and repeats to a fixpoint (op count
-  and bootstrap count stable), bounded rounds.  Each candidate is
-  verifier-checked and adopted only when the modeled function cost
-  actually improves.  Re-lowering (rather than patching levels in place)
-  keeps the scale plan exact against *real* prime chains, where shifting
-  a region changes which primes its rescales divide by.
+  It only proposes: the driver lowers each proposal through its one
+  lowering (``ACECompiler._lower`` — :func:`lower_to_ckks` with the
+  proposal as ``hint_plan``, each target a floor the fitting lowering
+  may raise, then the CKKS optimizer and the verifier) and adopts it
+  only when :func:`repro.passes.cost.cheaper` says its final CKKS IR is
+  cheaper, for at most three rounds.  Re-lowering (rather than patching
+  levels in place) keeps the scale plan exact against *real* prime
+  chains, where shifting a region changes which primes its rescales
+  divide by.
 * :func:`replan_relins` — generalises the lazy-relinearisation
   peepholes to a whole-DAG placement: strip every ``ckks.relin`` and
   re-insert one per value at the latest legal frontier (rotation,
@@ -55,14 +56,13 @@ from repro.errors import LoweringError
 from repro.ir.core import Function, Module, Op, Value
 from repro.ir.registry import OPS
 from repro.ir.types import Cipher3Type, CipherType
-from repro.ir.verifier import verify_module
-from repro.passes.cost import CostModel
+from repro.passes.cost import CostModel, cheaper
 from repro.passes.lowering.sihe_to_ckks import (
     SiheToCkksLowering,
     capacity_floors,
     fits_capacity,
 )
-from repro.passes.opt import bootstrap_count, cse_function, optimize_module
+from repro.passes.opt import cse_function
 
 _CIPHERISH = (CipherType, Cipher3Type)
 
@@ -359,7 +359,7 @@ def replan_relins(fn: Function, table: CostModel) -> dict:
     cse_function(candidate)
     candidate.dce()
     after_cost = table.function_cost(candidate)
-    adopted = after_cost < before_cost * (1.0 - 1e-12)
+    adopted = cheaper(after_cost, before_cost)
     if adopted:
         fn.params = candidate.params
         fn.body = candidate.body
@@ -374,7 +374,7 @@ def replan_relins(fn: Function, table: CostModel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the fixpoint driver hook
+# the fitting lowering
 # ---------------------------------------------------------------------------
 
 def lower_to_ckks(sihe_module: Module, moduli: list[float], scale: float,
@@ -416,80 +416,6 @@ def lower_to_ckks(sihe_module: Module, moduli: list[float], scale: float,
                 f"the {max_level}-level chain is too short for this "
                 "program: no refresh target can rise")
         plan = raised
-
-
-def run_level_replan(module: Module, sihe_module: Module,
-                     moduli: list[float], scale: float, options,
-                     cost_model, context: dict,
-                     max_rounds: int = 3) -> dict:
-    """Replan -> re-lower -> re-optimize to fixpoint; mutates ``module``.
-
-    ``sihe_module`` is the preserved pre-lowering SIHE module (the
-    replanner re-runs the scale/level assignment from it so plans stay
-    exact against the real modulus chain).  Returns the stats dict also
-    stored as ``context["levels_stats"]``.
-    """
-    table = cost_model or CostModel()
-    max_level = len(moduli) - 1
-    stats: dict = {
-        "enabled": True,
-        "rounds": [],
-        "bootstraps_before": bootstrap_count(module),
-        "targets_before": bootstrap_targets(module.main()),
-        "cost_before": table.function_cost(module.main()),
-    }
-    plan: dict[int, dict] = {}
-    for round_no in range(1, max_rounds + 1):
-        proposal, rows = plan_bootstraps(
-            module.main(), table, max_level, moduli)
-        merged = {**plan, **proposal}
-        if not proposal or merged == plan:
-            break
-        try:
-            candidate, cand_ctx = lower_to_ckks(
-                sihe_module, moduli, scale, options, merged)
-        except LoweringError:
-            break
-        opt_rows = optimize_module(
-            candidate, "ckks", options.opt_level, cost_model=cost_model)
-        verify_module(candidate)
-        cost_old = table.function_cost(module.main())
-        cost_new = table.function_cost(candidate.main())
-        row = {
-            "round": round_no,
-            "proposal": {
-                h: ("skip" if d.get("skip") else d.get("target"))
-                for h, d in merged.items()
-            },
-            "bootstraps_before": bootstrap_count(module),
-            "bootstraps_after": bootstrap_count(candidate),
-            "ops_before": module.main().op_count(),
-            "ops_after": candidate.main().op_count(),
-            "cost_before": cost_old,
-            "cost_after": cost_new,
-            "adopted": cost_new < cost_old * (1.0 - 1e-12),
-            "opt_rows": opt_rows,
-        }
-        stats["rounds"].append(row)
-        if not row["adopted"]:
-            break
-        stable = (row["ops_after"] == row["ops_before"]
-                  and row["bootstraps_after"] == row["bootstraps_before"])
-        module.functions = candidate.functions
-        module.constants = candidate.constants
-        module.meta = candidate.meta
-        context["bootstrap_plan"] = cand_ctx["bootstrap_plan"]
-        plan = merged
-        if stable:
-            break
-    if getattr(options, "opt_level", 2) >= 2:
-        stats["relin"] = replan_relins(module.main(), table)
-        verify_module(module)
-    stats["bootstraps_after"] = bootstrap_count(module)
-    stats["targets_after"] = bootstrap_targets(module.main())
-    stats["cost_after"] = table.function_cost(module.main())
-    context["levels_stats"] = stats
-    return stats
 
 
 def bootstrap_targets(fn: Function) -> list[int]:

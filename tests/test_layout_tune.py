@@ -5,6 +5,8 @@ the same cleartext tensor as the heuristic lowering; the search only
 reorganises work, never changes results.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,10 +209,50 @@ def test_calibration_memoised_and_copy_private():
 
 def test_search_plan_respects_eval_budget():
     nn = _fused(_gemm_model(48, 48))
-    from repro.passes.cost import CostModel
+    priced = []
 
-    model = CostModel(poly_degree=512)
+    def price(layout):
+        priced.append(layout)
+        return 1.0
+
     options = CompileOptions(poly_mode="off", slots=256)
-    result = search_plan(nn, 256, options, model, jobs=1, max_evals=1)
+    result = search_plan(nn, 256, options, price, max_evals=1)
     assert result.info["candidates_evaluated"] == 1
     assert result.info["search_truncated"] is True
+    assert len(priced) == 2  # the heuristic baseline and one candidate
+
+
+def test_exact_params_too_small_are_refused():
+    """Fixed parameters never grow: a model that needs more slots than
+    ``exact_params`` give is refused, naming both counts, instead of
+    compiling a program the scheme cannot hold."""
+    from repro.errors import CompileError
+
+    params = CkksParameters(poly_degree=64, scale_bits=30,
+                            first_prime_bits=40, num_levels=4)
+    with pytest.raises(CompileError, match=r"needs \d+ slots .* give 32"):
+        ACECompiler(_gemm_model(48, 48), CompileOptions(
+            poly_mode="off", exact_params=params,
+            bootstrap_enabled=False)).compile()
+
+
+@pytest.mark.parametrize("case", ["resnet_compile", "gemm-search"])
+def test_model_imported_once(case):
+    """One import per compile: the slot-doubling re-lowering, the
+    searched layout and the refresh rounds all lower clones of it."""
+    from benchmarks.e2e import workloads
+    from repro.compiler import driver
+
+    if case == "resnet_compile":
+        workload = workloads.get(case)
+        model = load_model_bytes(workload.model_bytes())
+        options = workload.options()
+        options.poly_mode = "off"
+    else:
+        model = _gemm_model(48, 48)
+        options = CompileOptions(poly_mode="off", slots=256,
+                                 layout_tune="search")
+    with mock.patch.object(driver, "onnx_to_nn",
+                           wraps=driver.onnx_to_nn) as importer:
+        ACECompiler(model, options).compile()
+    assert importer.call_count == 1

@@ -263,12 +263,13 @@ def test_summarize_levels_stats_disabled_and_deltas():
 # end-to-end: bootstrap-deep ResNet-lite through the whole pipeline
 # ---------------------------------------------------------------------------
 
-def _compile(opt_level):
+def _compile(opt_level, layout_tune="heuristic", blocks=2):
     model = resnet_mini(num_classes=4, in_channels=1, base_width=4,
-                        input_size=8, blocks=2, seed=1)
+                        input_size=8, blocks=blocks, seed=1)
     proto = load_model_bytes(model_to_bytes(model_to_onnx(model)))
     program = ACECompiler(proto, CompileOptions(
         sign_iterations=3, poly_mode="off", opt_level=opt_level,
+        layout_tune=layout_tune,
     )).compile()
     return model, program
 
@@ -378,11 +379,15 @@ def _residual():
 
 
 @pytest.mark.parametrize("opt_level", [0, 1, 2])
-@pytest.mark.parametrize("model", ["relu_boot", "residual", "resnet_mini"])
+@pytest.mark.parametrize("model", ["relu_boot", "residual", "resnet_mini",
+                                   "resnet_mini_search"])
 def test_no_refresh_has_slack(model, opt_level, programs):
-    """Every refresh targets exactly its region's measured need."""
+    """Every refresh targets exactly its region's measured need — also
+    when the layout search and the refresh rounds both propose."""
     if model == "resnet_mini":
         program = programs[opt_level][1]
+    elif model == "resnet_mini_search":
+        program = _compile(opt_level, layout_tune="search", blocks=1)[1]
     else:
         proto, options = _relu_boot() if model == "relu_boot" \
             else _residual()
