@@ -18,10 +18,10 @@ Segments:
 Acceptance targets:
 
 * router >= 1.5x single-process aggregate requests/sec — gated only on
-  hosts with >= 2 usable cores (the repo's bench_parallel_exec.py
-  convention: process-level scale-out cannot beat one process on one
-  core; CI's runners are multi-core so the gate is live there, while a
-  single-core box records ``speedup_gated: false`` and still measures);
+  hosts with >= 2 usable cores (process-level scale-out cannot beat
+  one process on one core; CI's runners are multi-core so the gate is
+  live there, while a single-core box records ``speedup_gated: false``
+  and still measures);
 * zero non-transient client errors and zero lost/duplicated responses
   across the shard kill — gated on every host.
 

@@ -6,8 +6,8 @@ homomorphic ops: "Conv", "ReLU", "Bootstrap").  The evaluation harness
 feeds these aggregates into the cost model to regenerate Figure 6's
 per-phase inference-time breakdown.
 
-**Thread safety.**  The parallel executor issues ops from several worker
-threads into one trace, so:
+**Thread safety.**  Threads that share one backend (serve workers, user
+threads) record ops into one trace, so:
 
 * the region stack is *per-thread* (``threading.local``): a region
   entered on one thread can never leak its tag into ops another thread

@@ -8,9 +8,8 @@ plants *injection points* at three levels of the stack —
 * **backend** (``backend.*``): residue corruption, forced
   :class:`~repro.errors.NoiseBudgetExhausted`, latency spikes in the
   NTT/key-switch hot ops (hooked in ``ExactBackend``/``SimBackend``);
-* **executor** (``executor.*``): job exceptions, worker stalls and
-  simulated thread death inside
-  :meth:`repro.runtime.executor.ParallelExecutor._issue`;
+* **executor** (``executor.*``): an exception raised as a compiled
+  program issues an op (:func:`repro.runtime.ckks_interp._issue`);
 * **serve wire** (``wire.*``, ``serve.*``): truncated and oversized
   frames, connection resets, slow-loris writes (hooked in
   ``ServeClient``) and per-request poisoning (hooked in
@@ -26,8 +25,7 @@ matter what the other sites did.  Every firing is appended to an
 in-memory replay log (:func:`replay_log`, :func:`dump_log`) so a CI
 failure ships the exact faults that provoked it.
 
-With no plan installed every hook is a single ``is None`` check — the
-serving and executor benchmarks gate the disabled overhead at < 5%.
+With no plan installed every hook is a single ``is None`` check.
 
 Activation:
 
@@ -72,13 +70,8 @@ BACKEND_CORRUPT = "backend.corrupt"
 BACKEND_NOISE = "backend.noise"
 #: backend: sleep ``value`` seconds inside an NTT/key-switch-heavy op
 BACKEND_LATENCY = "backend.latency"
-#: executor: raise ChaosError from a dispatched job
+#: executor: raise ChaosError as a compiled program issues an op
 EXECUTOR_JOB_EXCEPTION = "executor.job_exception"
-#: executor: stall a worker for ``value`` seconds
-EXECUTOR_STALL = "executor.stall"
-#: executor: simulate a dead job thread (an unbounded-looking stall of
-#: ``value`` seconds; the watchdog is what bounds it)
-EXECUTOR_THREAD_DEATH = "executor.thread_death"
 #: serve: poison one inbound request (fails at execution, not submit)
 SERVE_POISON = "serve.poison"
 #: serve: server computes a result, then drops the connection instead of
@@ -104,7 +97,7 @@ WIRE_SLOW = "wire.slow"
 
 ALL_SITES = (
     BACKEND_CORRUPT, BACKEND_NOISE, BACKEND_LATENCY,
-    EXECUTOR_JOB_EXCEPTION, EXECUTOR_STALL, EXECUTOR_THREAD_DEATH,
+    EXECUTOR_JOB_EXCEPTION,
     SERVE_POISON, SERVE_DROP_REPLY, SERVE_CORRUPT_REPLY,
     SERVE_DELAY_REPLY, SERVE_DUP_REPLY,
     ROUTER_SHARD_KILL,
@@ -121,8 +114,6 @@ _LATENCY_OPS = frozenset({"mul", "rotate", "relin", "conjugate",
 
 _DEFAULT_VALUES = {
     BACKEND_LATENCY: 0.02,
-    EXECUTOR_STALL: 0.25,
-    EXECUTOR_THREAD_DEATH: 2.0,
     SERVE_DELAY_REPLY: 0.05,
     WIRE_SLOW: 0.005,
 }
@@ -136,8 +127,8 @@ class SiteSpec:
 
     ``probability`` is per *opportunity* (each hook call rolls the
     site's own RNG); ``max_count`` caps total firings (None = no cap);
-    ``value`` is the site-specific magnitude (seconds for latency/stall
-    sites, unused elsewhere).
+    ``value`` is the site-specific magnitude (seconds for the latency,
+    delay and slow-write sites, unused elsewhere).
     """
 
     probability: float = 1.0
@@ -461,21 +452,12 @@ def corrupt_result(op: str, result):
 
 
 def on_executor_op(opcode: str) -> None:
-    """Executor-level faults: job exceptions, stalls, thread death."""
+    """Executor-level fault: an exception as the op is issued."""
     inj = _INJECTOR
     if inj is None:
         return
     if inj.should_fire(EXECUTOR_JOB_EXCEPTION, opcode):
         raise ChaosError(f"chaos: injected job exception at {opcode}")
-    spec = inj.should_fire(EXECUTOR_STALL, opcode)
-    if spec:
-        time.sleep(inj.value(EXECUTOR_STALL, spec))
-    spec = inj.should_fire(EXECUTOR_THREAD_DEATH, opcode)
-    if spec:
-        # a "dead" thread, as far as the coordinator can tell: the op
-        # never completes within any watchdog window.  Bounded so test
-        # processes terminate.
-        time.sleep(inj.value(EXECUTOR_THREAD_DEATH, spec))
 
 
 def poison_request(request_id: int) -> bool:

@@ -35,7 +35,6 @@ with ``repro soak`` (``--out`` writes the JSON report).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -197,19 +196,7 @@ def run_soak(config: SoakConfig | None = None, entry=None) -> dict:
                 queue_size=config.queue_size,
                 max_wait_s=0.05,
                 request_timeout_s=deadline_s,
-            ) as worker, \
-            ThreadPoolExecutor(max_workers=16,
-                               thread_name_prefix="soak-wait") as waiters:
-
-        def wait_one(future):
-            response = worker.wait(future, timeout_s=deadline_s + 1.0)
-            bucket = _classify(response.ok, response.error)
-            if bucket == "ok" and response.latency_s <= deadline_s:
-                return "good", response.latency_s
-            if bucket == "ok":
-                return "late", response.latency_s
-            return bucket, None
-
+            ) as worker:
         pending = []
         started = time.perf_counter()
         for i in range(total):
@@ -224,12 +211,15 @@ def run_soak(config: SoakConfig | None = None, entry=None) -> dict:
                 bucket = _classify(False, type(exc).__name__)
                 outcomes[bucket] = outcomes.get(bucket, 0) + 1
                 continue
-            pending.append(waiters.submit(wait_one, future))
-        for item in pending:
-            bucket, latency = item.result()
+            pending.append(future)
+        for future in pending:
+            response = worker.wait(future, timeout_s=deadline_s + 1.0)
+            bucket = _classify(response.ok, response.error)
+            if bucket == "ok":
+                ok_latencies.append(response.latency_s)
+                bucket = ("good" if response.latency_s <= deadline_s
+                          else "late")
             outcomes[bucket] = outcomes.get(bucket, 0) + 1
-            if latency is not None:
-                ok_latencies.append(latency)
             if bucket == "good":
                 good += 1
         elapsed = time.perf_counter() - started

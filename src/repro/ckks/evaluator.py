@@ -110,10 +110,10 @@ class CkksEvaluator:
         self.encoder = CkksEncoder(params.poly_degree)
         self.cipher_basis, self.key_basis = params.make_bases()
         self._ext_bases: dict[int, RnsBasis] = {}
-        # guards first-miss population of ``_ext_bases``: the parallel
-        # executor hammers one evaluator from many threads, and without
-        # the lock concurrent misses would each build (and briefly
-        # publish) a duplicate basis.  Lookups stay lock-free — entries
+        # guards first-miss population of ``_ext_bases``: serve worker
+        # threads (and any user threads) may share one evaluator, and
+        # without the lock concurrent misses would each build (and
+        # briefly publish) a duplicate basis.  Lookups stay lock-free — entries
         # are immutable once inserted and dict reads are atomic.
         self._cache_lock = threading.Lock()
         #: key switches spent composing rotations out of power-of-two

@@ -137,9 +137,9 @@ class LinearTransform:
         # encoded-diagonal memo: evaluator -> {(level, d, shift): Plaintext}
         self._plain_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         self._nonzero: dict[int, bool] = {}
-        # guards first-miss population of both memos: the parallel
-        # executor applies one transform from several threads (e.g.
-        # bootstrap CoeffToSlot halves running concurrently)
+        # guards first-miss population of both memos: threads sharing
+        # one backend (serve workers, user threads) may apply one
+        # transform at once
         self._cache_lock = threading.Lock()
 
     def diagonal(self, d: int) -> np.ndarray:

@@ -281,8 +281,7 @@ def _run(args) -> int:
     print(_opt_summary_line(program))
     backend = program.make_sim_backend(seed=args.seed)
     started = time.perf_counter()
-    outputs = program.run(backend, tensor, check_plan=False,
-                          jobs=args.jobs)
+    outputs = program.run(backend, tensor, check_plan=False)
     program.note_measured_seconds(time.perf_counter() - started)
     layout_line = _layout_summary_line(program)
     if layout_line:
@@ -328,7 +327,6 @@ def _serve(args) -> int:
         num_threads=args.workers, queue_size=args.queue_size,
         max_wait_s=args.max_wait_ms / 1000.0,
         request_timeout_s=args.timeout_s,
-        exec_jobs=args.jobs,
     )
     if args.shard:
         print(f"shard ready on {server.host}:{server.port} "
@@ -359,8 +357,6 @@ def _router(args) -> int:
         key_budget=args.key_budget,
         request_timeout_s=args.timeout_s,
         shard_workers=args.workers,
-        shard_jobs=args.jobs,
-        shard_mem_budget=args.mem_budget,
         shard_kernel=args.kernel,
     )
     try:
@@ -450,9 +446,6 @@ def main(argv=None) -> int:
     _add_compile_options(p_run)
     p_run.add_argument("--input", help="optional .npy input tensor")
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--jobs", type=int, default=None,
-                       help="executor threads for op-level parallelism "
-                            "(default: $REPRO_JOBS or 1)")
     _add_kernel_option(p_run)
     _add_chaos_options(p_run)
     p_run.set_defaults(fn=_run)
@@ -484,10 +477,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--scale-bits", type=int, default=30)
     p_serve.add_argument("--first-prime-bits", type=int, default=40)
     p_serve.add_argument("--levels", type=int, default=4)
-    p_serve.add_argument("--jobs", type=int, default=None,
-                         help="executor threads shared across workers for "
-                              "op-level parallelism (default: $REPRO_JOBS "
-                              "or 1)")
     p_serve.add_argument("--layout-tune", default="heuristic",
                          choices=("heuristic", "search"),
                          help="layout/BSGS autotuning for the served "
@@ -520,12 +509,6 @@ def main(argv=None) -> int:
                           help="per-shard resident evaluation-key byte "
                                "budget; exceeding it LRU-evicts idle "
                                "models' key material")
-    p_router.add_argument("--mem-budget", type=int, default=None,
-                          help="per-shard live-ciphertext byte budget "
-                               "(caps executor issue width, "
-                               "$REPRO_MEM_BUDGET)")
-    p_router.add_argument("--jobs", type=int, default=None,
-                          help="executor threads per shard")
     p_router.add_argument("--poly-degree", type=int, default=256)
     p_router.add_argument("--scale-bits", type=int, default=30)
     p_router.add_argument("--first-prime-bits", type=int, default=40)

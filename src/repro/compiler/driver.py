@@ -46,7 +46,6 @@ from repro.passes.lowering.sihe_to_ckks import DepthAnalysis
 from repro.passes.lowering.vector_to_sihe import VectorToSiheLowering
 from repro.passes.nn_opt import nn_operator_fusion
 from repro.runtime.ckks_interp import run_ckks_function
-from repro.runtime.executor import resolve_jobs
 from repro.runtime.nn_interp import run_nn_function
 from repro.utils.bits import next_power_of_two
 from repro.utils.timing import TimerRegistry
@@ -217,14 +216,12 @@ class CompiledProgram:
             for b in range(count)
         ]
 
-    def run_batch(self, backend, images, check_plan: bool = False,
-                  jobs: int | None = None):
+    def run_batch(self, backend, images, check_plan: bool = False):
         """Encrypted inference over up to ``batch_size`` images at once."""
         packed = self.pack_batch(images)
         fn = self.module.main()
         outs = run_ckks_function(
             self.module, fn, backend, [packed], check_plan=check_plan,
-            jobs=jobs,
         )
         vec = backend.decrypt(outs[0], num_values=self.scheme.num_slots)
         return self.unpack_batch(vec, len(images))
@@ -247,15 +244,15 @@ class CompiledProgram:
             jobs: int | None = None) -> list[np.ndarray]:
         """Encrypt inputs, run the compiled CKKS program, decrypt outputs.
 
-        ``jobs`` controls op-level parallel execution (None resolves
-        ``REPRO_JOBS``, default 1); results are bit-identical at any job
-        count.
+        ``jobs`` is accepted and ignored: a program runs in program order
+        on the calling thread.  The keyword stays only for the
+        ``runtime.jobs_speedup`` row of ``benchmarks/e2e/layers.py``,
+        which still passes it, and goes once that row is retired.
         """
         packed = [self.pack_input(t, i) for i, t in enumerate(tensors)]
         fn = self.module.main()
         outs = run_ckks_function(
             self.module, fn, backend, packed, check_plan=check_plan,
-            jobs=jobs,
         )
         results = []
         for i, out in enumerate(outs):
@@ -518,18 +515,15 @@ class ACECompiler:
             poly_degree=2 * slots,
             num_special_primes=max(1, selection.num_special_primes),
         )
-        jobs = resolve_jobs(None)
 
         def price(layout) -> float:
             try:
                 vector, _ = self._front(nn, slots, layout, sihe=False)
             except LoweringError:
                 return float("inf")
-            return model.function_cost(vector.main(), jobs)
+            return model.function_cost(vector.main())
 
-        result = layout_tune.search_plan(nn, slots, self.options, price)
-        result.info["jobs"] = jobs
-        return result
+        return layout_tune.search_plan(nn, slots, self.options, price)
 
     def _minimum_slots(self) -> int:
         largest = 1

@@ -114,16 +114,6 @@ class RuntimeBackendError(ReproError):
     """An FHE runtime backend failed to execute a program."""
 
 
-class ExecutorStalledError(RuntimeBackendError):
-    """The parallel executor's watchdog declared a job thread stalled/dead.
-
-    Transient: the stall poisons only the execution it interrupted; the
-    pool keeps serving and a retry gets fresh threads.
-    """
-
-    transient = True
-
-
 class ChaosError(ReproError):
     """A fault injected by :mod:`repro.chaos` (always transient)."""
 

@@ -1,29 +1,27 @@
 """Dependency-DAG analysis and wavefront scheduling for flat functions.
 
 Inference graphs are DAGs (paper §3.2), and the fully scheduled CKKS-IR
-op list a compiled program executes still contains abundant
-instruction-level independence the sequential interpreter ignores:
-parallel residual branches of a ResNet, the giant steps of a BSGS matrix
-multiply, per-channel convolutions.  This module recovers that structure
-from a :class:`~repro.ir.core.Function` body:
+op list a compiled program executes keeps that structure: parallel
+residual branches of a ResNet, the giant steps of a BSGS matrix
+multiply, per-channel convolutions.  This module recovers it from a
+:class:`~repro.ir.core.Function` body:
 
 * :func:`build_op_dag` maps each op to the ops producing its operands
   (and the reverse user lists) — pure SSA def-use wiring;
 * :func:`compute_schedule` levelises the DAG into *wavefronts* (stage
   ``k`` holds every op whose predecessors all sit in stages ``< k``) and
   folds in the interpreter's last-use liveness as per-value consumer
-  refcounts, so a parallel executor can still drop dead ciphertexts the
-  moment their final consumer completes, and marks the *static* ops —
+  refcounts, so the executor drops dead ciphertexts the moment their
+  final consumer completes, and marks the *static* ops —
   those no function parameter reaches — whose results are the same on
   every execution;
 * :func:`schedule_pass` exposes the analysis through the pass manager
   (level "Others": it is dialect-agnostic and runs on every IR level).
 
-The schedule itself is *descriptive*: executors are free to dispatch
-ready ops in any order that respects ``deps`` (the bundled
-:class:`~repro.runtime.executor.ParallelExecutor` uses completion-driven
-list scheduling rather than stage barriers), but the wavefront widths are
-the capacity signal — ``max_width`` bounds the useful number of jobs.
+The schedule itself is *descriptive*: a compiled program runs in
+program order (:func:`repro.runtime.ckks_interp.run_ckks_function`),
+which respects ``deps``; the wavefront depth and widths are reported
+(``stages``, ``max_width``) as a measure of the program's shape.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class OpSchedule:
 
     @property
     def max_width(self) -> int:
-        """Widest wavefront: the peak exploitable parallelism."""
+        """Widest wavefront: the most mutually independent ops."""
         return max((len(s) for s in self.stages), default=0)
 
     @property
@@ -163,8 +161,7 @@ def schedule_pass(result_key: str = "schedules") -> Pass:
     """A pass that schedules every function into ``context[result_key]``.
 
     The analysis is read-only (the module is untouched); downstream
-    consumers — the parallel executor, benchmarks reporting wavefront
-    width — pick the :class:`OpSchedule` out of the pass context by
+    consumers — benchmarks reporting wavefront width — pick the :class:`OpSchedule` out of the pass context by
     function name.
     """
 
@@ -175,5 +172,5 @@ def schedule_pass(result_key: str = "schedules") -> Pass:
 
     return Pass(
         "op-schedule", "Others", run,
-        "dependency DAG + wavefront schedule for parallel execution",
+        "dependency DAG + wavefront schedule",
     )

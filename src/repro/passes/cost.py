@@ -28,14 +28,13 @@ from dataclasses import dataclass, replace
 
 from repro.backend.trace import OpTrace
 from repro.ir.core import Function, Op, Value
-from repro.ir.schedule import compute_schedule
 from repro.ir.types import Cipher3Type
 
 #: opcode -> priced kind for the ``vector.*``, ``sihe.*`` and ``ckks.*``
 #: dialects; an opcode absent here is free.  ``ckks.mul`` is absent on
 #: purpose: pricing it moves the replanner's decisions and every
-#: recorded ``predicted_seconds``, so it waits for calibration
-#: (ROADMAP item 3).
+#: recorded ``predicted_seconds``, so it waits for pricing from the POLY
+#: expansion (ROADMAP item 10).
 _KIND = {
     "ckks.add": "add", "ckks.sub": "sub", "ckks.neg": "negate",
     "ckks.relin": "relin", "ckks.rotate": "rotate",
@@ -57,7 +56,8 @@ DEFAULT_LIMBS = 8
 #: modeled work of one nonlinearity (sign-iteration ladder) in
 #: (mul + relin) pairs; identical across layout candidates — layout
 #: choices never change the nonlinearity count — but keeping it in the
-#: total stops the schedule factor from overweighting linear regions
+#: total stops a ratio of two candidates' costs from pricing the linear
+#: regions alone
 _NONLINEAR_PAIRS = 8
 
 #: process-wide calibration memo: measuring the host's kernel constants
@@ -213,8 +213,8 @@ class CostModel:
         element-wise op (the price of deferring a relinearisation)."""
         return self.op_seconds("mul_plain", limbs) * 0.5
 
-    def function_cost(self, fn: Function, jobs: int = 1) -> float:
-        """Modeled seconds for a whole function under ``jobs`` lanes.
+    def function_cost(self, fn: Function) -> float:
+        """Modeled seconds for a whole function, run in program order.
 
         Rotations sharing one source ciphertext are costed as a batch at
         a single shared digit decomposition
@@ -225,12 +225,6 @@ class CostModel:
         reaches ``ExactBackend.rotate_hoisted``, so every ``ckks.rotate``
         still pays its own decomposition (ROADMAP, "Hoisted rotations in
         the compiled path").
-
-        At ``jobs > 1`` that hoisted sequential cost is scaled by the
-        *schedule factor*: LPT-greedy makespan over the wavefront stages
-        at ``min(jobs, width)`` lanes, divided by total work — smaller
-        for wide schedules, so a plan that narrows the schedule pays
-        for it.
         """
         total = 0.0
         rotation_batches: dict[int, list[Op]] = {}
@@ -243,21 +237,7 @@ class CostModel:
         for batch in rotation_batches.values():
             limbs = self.limbs_of(batch[0].results[0])
             total += self.hoisted_rotation_seconds(limbs, len(batch))
-        if jobs <= 1:
-            return total
-        work = makespan = 0.0
-        for stage in compute_schedule(fn).stages:
-            weights = sorted(
-                (self.op_cost(fn.body[i]) for i in stage), reverse=True
-            )
-            work += sum(weights)
-            lanes = [0.0] * max(1, min(jobs, len(weights)))
-            for w in weights:
-                lanes[lanes.index(min(lanes))] += w
-            makespan += max(lanes)
-        if work <= 0.0:
-            return total
-        return total * (makespan / work)
+        return total
 
     # -- calibration ------------------------------------------------------
 

@@ -16,9 +16,7 @@ single hand-chosen packing across a model zoo.  This pass turns
   driver's own front half (``NnToVectorLowering`` + vector optimizer)
   priced with :meth:`repro.passes.cost.CostModel.function_cost` — the
   pricer every other gate uses: rotation batches per source priced
-  *hoisted*, scaled by the wavefront-schedule factor at the effective
-  job count, so a plan that narrows the schedule pays for it.  The
-  argmin plan is only a proposal: the driver lowers it through its one
+  *hoisted*.  The argmin plan is only a proposal: the driver lowers it through its one
   lowering, prices the final CKKS IR and adopts it only if it is
   cheaper than the heuristic's — rotation-key analysis and scheduling
   run after adoption, so the generated keys match the tuned program.

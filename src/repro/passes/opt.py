@@ -4,8 +4,7 @@ The mid-end of the compiler: after each lowering stage the driver runs
 this module's rewrites to execute *fewer* operations — key-switch-bearing
 ops (relin, rotate, conjugate) dominate runtime (see
 ``BENCH_micro_ckks.json``), so every merged rotation or deferred
-relinearisation is a direct latency win, and shorter op lists also mean
-shorter wavefronts for the parallel executor.
+relinearisation is a direct latency win.
 
 Rewrites are tiered by bit-exactness so ``--opt-level`` has crisp
 semantics:

@@ -27,7 +27,7 @@ or :func:`set_backend`.  ``auto`` probes ``numba`` and falls back to
 **bit-identical** for all moduli within the shared
 :data:`repro.polymath.modmath.MAX_MODULUS_BITS` floor: every kernel
 computes exact integers mod q, so the same ciphertext bytes come out of
-every backend at every ``--jobs`` count (the PR-2/PR-3 test pattern).
+every backend (``tests/test_kernels.py`` checks this).
 
 JIT backends compile on first use; call :func:`warmup` at process
 start (the serving stack does this in ``InferenceServer.__init__``) so

@@ -10,7 +10,6 @@ from repro.runtime.vector_interp import run_vector_function
 from repro.runtime.sihe_interp import run_sihe_function
 from repro.runtime.ckks_interp import run_ckks_function
 from repro.runtime.poly_interp import run_poly_function
-from repro.runtime.executor import JobBudget, ParallelExecutor, resolve_jobs
 
 __all__ = [
     "run_nn_function",
@@ -18,7 +17,4 @@ __all__ = [
     "run_sihe_function",
     "run_ckks_function",
     "run_poly_function",
-    "JobBudget",
-    "ParallelExecutor",
-    "resolve_jobs",
 ]

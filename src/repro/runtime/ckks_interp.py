@@ -2,19 +2,16 @@
 
 Unlike the SIHE interpreter, nothing here is managed on the fly: every
 rescale/modswitch/relin/bootstrap was placed by the compiler, and this
-interpreter simply issues the ops.  When the compiler annotated values
-with expected scales/levels (``Value.meta``), the interpreter verifies
-the runtime state matches the plan — a strong check on the
-scale-management pass.
+interpreter simply issues the ops, one at a time in program order on
+the calling thread.  When the compiler annotated values with expected
+scales/levels (``Value.meta``), the interpreter verifies the runtime
+state matches the plan — a strong check on the scale-management pass.
 
-Op *issue* is delegated to :class:`repro.runtime.executor.ParallelExecutor`:
-the classic sequential walk is the ``jobs=1`` case of the same
-dependency-DAG scheduler, and ``jobs > 1`` dispatches independent ops
-(parallel residual branches, BSGS giant steps) onto a thread pool with
-bit-identical results; the executor also decides *which* ops a run
-issues (input-independent ones only once per backend).  This module
-keeps the per-op dispatch table (:func:`_eval`) and the plan check
-(:func:`_check`).
+A run issues only what depends on its inputs once a backend has run the
+program: the input-independent ops (weight constants and their encodes)
+are issued by the first run and kept in a
+:class:`repro.runtime.executor.ConstPool`; each value is dropped as soon
+as its last consumer has run (the schedule's liveness refcounts).
 """
 
 from __future__ import annotations
@@ -23,18 +20,20 @@ import math
 
 import numpy as np
 
+from repro import chaos
 from repro.backend.interface import HEBackend
 from repro.errors import RuntimeBackendError
 from repro.ir.core import Function, Module
 from repro.ir.types import CipherType, PlainType
+from repro.runtime.executor import cached_schedule, const_pool, publish
 from repro.runtime.vector_interp import _eval as eval_vector_op
+
 
 def prepare_env(fn: Function, backend: HEBackend, inputs: list) -> dict[int, object]:
     """Bind inputs to parameter value ids (encrypting cleartext ciphers).
 
-    Runs on the calling thread before any parallel dispatch, so
-    encryption randomness is drawn in parameter order regardless of the
-    job count.
+    Encryption randomness is drawn in parameter order, before any op
+    is issued.
     """
     env: dict[int, object] = {}
     for param, value in zip(fn.params, inputs):
@@ -56,30 +55,60 @@ def run_ckks_function(
     inputs: list,
     check_plan: bool = True,
     region_tags: dict[int, str] | None = None,
-    jobs: int | None = None,
-    budget=None,
-    watchdog_s: float | None = None,
 ) -> list:
-    """Execute a CKKS-IR function.
+    """Execute a CKKS-IR function in program order.
 
     Args:
         region_tags: optional map op-index -> tag; ops are recorded under
             that tag in the backend trace (feeds Figure 6's breakdown).
-        jobs: worker threads for op-level parallelism (None resolves the
-            ``REPRO_JOBS`` environment variable, default 1).  Results are
-            bit-identical at every job count.
-        budget: optional shared :class:`repro.runtime.executor.JobBudget`
-            capping total threads across concurrent executions.
-        watchdog_s: optional stall bound for parallel execution; see
-            :class:`repro.runtime.executor.ParallelExecutor`.
     """
-    from repro.runtime.executor import ParallelExecutor
+    env = prepare_env(fn, backend, inputs)
+    pool = const_pool(backend, module, fn, cached_schedule(fn))
+    skip, live = pool.plan()
+    tags = region_tags or {}
+    for index, op in enumerate(fn.body):
+        if index in skip:
+            continue
+        args = _values(env, pool, op.operands)
+        tag = tags.get(index) or op.attrs.get("region")
+        result = _issue(module, op, args, backend, tag, check_plan)
+        out = op.results[0].id
+        env[out] = result
+        if out in pool.pin:  # only a first run issues these
+            pool.values[out] = result
+        for vid in {operand.id for operand in op.operands}:
+            remaining = live.get(vid)
+            if remaining is None:
+                continue
+            if remaining <= 1:
+                del live[vid]
+                env.pop(vid, None)
+            else:
+                live[vid] = remaining - 1
+    if not pool.published:
+        publish(backend, module, fn, pool)
+    return _values(env, pool, fn.returns)
 
-    executor = ParallelExecutor(backend, jobs=jobs, budget=budget,
-                                watchdog_s=watchdog_s)
-    return executor.run(
-        module, fn, inputs, check_plan=check_plan, region_tags=region_tags
-    )
+
+def _values(env, pool, values) -> list:
+    """Each value live in ``env``, else pooled (looked up, never copied
+    into ``env``, which holds only the live set)."""
+    pinned = pool.values
+    return [env[v.id] if v.id in env else pinned[v.id] for v in values]
+
+
+def _issue(module: Module, op, args, be: HEBackend, tag, check_plan):
+    """Evaluate one op: the executor-level fault-injection point."""
+    chaos.on_executor_op(op.opcode)
+    trace = getattr(be, "trace", None)
+    if trace is not None and tag:
+        with trace.region(tag):
+            result = _eval(module, op, args, be)
+    else:
+        result = _eval(module, op, args, be)
+    if check_plan and op.results[0].meta.get("scale") is not None:
+        _check(op, result, be)
+    return result
 
 
 def _check(op, result, be) -> None:

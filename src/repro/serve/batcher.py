@@ -102,22 +102,12 @@ def combine_requests(entry: ModelEntry, requests: list[PendingRequest]):
 
 
 def execute_batch(entry: ModelEntry,
-                  requests: list[PendingRequest],
-                  jobs: int | None = None,
-                  budget=None,
-                  watchdog_s: float | None = None) -> list[BatchResult]:
+                  requests: list[PendingRequest]) -> list[BatchResult]:
     """Run one program execution serving ``requests`` (1..max_batch).
 
     Returns one :class:`BatchResult` per request, in order.  The entry
     lock serialises use of the shared evaluator/key material; worker
     threads still execute different models concurrently.
-
-    ``jobs``/``budget`` enable op-level parallel execution of the
-    compiled program (:class:`repro.runtime.ParallelExecutor`); a shared
-    :class:`repro.runtime.JobBudget` keeps *serve threads × executor
-    threads* from oversubscribing the machine when several batches run
-    at once.  ``watchdog_s`` bounds how long the executor waits for any
-    single op before declaring a job thread stalled.
 
     A poisoned-request failure carries ``culprit_request_id`` so the
     worker's partial-batch re-packing can fail the culprit alone and
@@ -135,9 +125,7 @@ def execute_batch(entry: ModelEntry,
         packed = combine_requests(entry, requests)
         fn = entry.program.module.main()
         outs = run_ckks_function(entry.program.module, fn, entry.backend,
-                                 [packed], check_plan=False,
-                                 jobs=jobs, budget=budget,
-                                 watchdog_s=watchdog_s)
+                                 [packed], check_plan=False)
         payload = serialize_ciphertext(outs[0])
     return [
         BatchResult(

@@ -217,16 +217,12 @@ class ShardHandle:
 
     def __init__(self, index: int, host: str = "127.0.0.1",
                  pool_size: int = 4, timeout_s: float = 60.0,
-                 workers: int = 2, exec_jobs: int | None = None,
-                 mem_budget: int | None = None,
-                 kernel: str | None = None):
+                 workers: int = 2, kernel: str | None = None):
         self.index = index
         self.host = host
         self.pool_size = pool_size
         self.timeout_s = timeout_s
         self.workers = workers
-        self.exec_jobs = exec_jobs
-        self.mem_budget = mem_budget
         self.kernel = kernel
         #: backend the shard reported at registration (its own resolution
         #: of the requested kernel, e.g. ``auto`` -> ``numpy``)
@@ -252,8 +248,6 @@ class ShardHandle:
         log = env.pop("REPRO_CHAOS_LOG", "")
         if log:
             env["REPRO_CHAOS_LOG"] = f"{log}.shard{self.index}"
-        if self.mem_budget is not None:
-            env["REPRO_MEM_BUDGET"] = str(self.mem_budget)
         return env
 
     def spawn_locked(self) -> None:
@@ -271,8 +265,6 @@ class ShardHandle:
             "--port-file", port_file.name,
             "--workers", str(self.workers),
         ]
-        if self.exec_jobs is not None:
-            cmd += ["--jobs", str(self.exec_jobs)]
         if self.kernel is not None:
             cmd += ["--kernel", self.kernel]
         self.proc = subprocess.Popen(
@@ -358,9 +350,8 @@ class RouterServer(FrameServer):
             are evicted (their keys dropped) first.  None = unbounded.
         pool_size: connections kept to each shard; bounds the forwards
             in flight per shard whatever the client connection count.
-        shard_workers / shard_jobs / shard_mem_budget / shard_kernel:
-            forwarded to each shard (worker threads, executor jobs,
-            REPRO_MEM_BUDGET, ``--kernel`` backend choice).
+        shard_workers / shard_kernel: forwarded to each shard (worker
+            threads, ``--kernel`` backend choice).
     """
 
     def __init__(
@@ -374,8 +365,6 @@ class RouterServer(FrameServer):
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
         pool_size: int = 4,
         shard_workers: int = 2,
-        shard_jobs: int | None = None,
-        shard_mem_budget: int | None = None,
         shard_kernel: str | None = None,
     ):
         super().__init__(host, port, metrics, max_message_bytes)
@@ -388,8 +377,6 @@ class RouterServer(FrameServer):
         self.shards = [
             ShardHandle(index, host=host, pool_size=pool_size,
                         timeout_s=request_timeout_s, workers=shard_workers,
-                        exec_jobs=shard_jobs,
-                        mem_budget=shard_mem_budget,
                         kernel=shard_kernel)
             for index in range(num_shards)
         ]

@@ -37,7 +37,6 @@ from repro.errors import (
     ServeError,
 )
 from repro.polymath import kernels
-from repro.runtime.executor import width_capped_total
 from repro.serve.metrics import Metrics
 from repro.serve.registry import ModelRegistry
 from repro.serve.retry import RetryPolicy
@@ -68,8 +67,6 @@ class InferenceServer(FrameServer):
         queue_size: int = 64,
         max_wait_s: float = 0.005,
         request_timeout_s: float = 30.0,
-        exec_jobs: int | None = None,
-        exec_watchdog_s: float | None = None,
         breaker_failures: int = 5,
         breaker_reset_s: float = 30.0,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
@@ -91,8 +88,6 @@ class InferenceServer(FrameServer):
             queue_size=queue_size,
             max_wait_s=max_wait_s,
             request_timeout_s=request_timeout_s,
-            exec_jobs=exec_jobs,
-            exec_watchdog_s=exec_watchdog_s,
             breaker_failures=breaker_failures,
             breaker_reset_s=breaker_reset_s,
         )
@@ -146,10 +141,6 @@ class InferenceServer(FrameServer):
         if op == "models":
             return {"ok": True, "models": self.registry.ids()}, b""
         if op == "metrics":
-            # process-wide: how often the executor narrowed dispatch to
-            # stay under REPRO_MEM_BUDGET (memory-aware width capping)
-            self.metrics.set_gauge(
-                "executor_width_capped_total", width_capped_total())
             return {
                 "ok": True,
                 "kernel_backend": kernels.active_name(),

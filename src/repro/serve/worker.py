@@ -55,7 +55,6 @@ from repro.errors import (
     RequestTimeoutError,
     ServerShutdownError,
 )
-from repro.runtime.executor import JobBudget, resolve_jobs
 from repro.serve.batcher import (
     PendingRequest,
     can_join,
@@ -113,8 +112,6 @@ class InferenceWorker:
         queue_size: int = 64,
         max_wait_s: float = 0.005,
         request_timeout_s: float = 30.0,
-        exec_jobs: int | None = None,
-        exec_watchdog_s: float | None = None,
         breaker_failures: int = 5,
         breaker_reset_s: float = 30.0,
     ):
@@ -123,7 +120,6 @@ class InferenceWorker:
         self.metrics = metrics or Metrics()
         self.max_wait_s = max_wait_s
         self.request_timeout_s = request_timeout_s
-        self.exec_watchdog_s = exec_watchdog_s
         self.breaker_failures = breaker_failures
         self.breaker_reset_s = breaker_reset_s
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -135,14 +131,6 @@ class InferenceWorker:
         # successes that beat their deadline, for serve_goodput_rps
         self._goodput = SlidingWindow()
         self._goodput_lock = threading.Lock()
-        # Op-level parallelism inside one batch execution.  All worker
-        # threads draw executor threads from ONE shared budget, so the
-        # total (serve threads x executor threads) stays bounded by
-        # exec_jobs: concurrent batches degrade toward sequential
-        # execution instead of oversubscribing the machine.
-        self.exec_jobs = resolve_jobs(exec_jobs)
-        self.exec_budget = (
-            JobBudget(self.exec_jobs) if self.exec_jobs > 1 else None)
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._ids = itertools.count(1)
         self._stopping = False
@@ -361,9 +349,7 @@ class InferenceWorker:
         entry = batch[0].entry
         started = time.monotonic()
         try:
-            results = execute_batch(entry, batch, jobs=self.exec_jobs,
-                                    budget=self.exec_budget,
-                                    watchdog_s=self.exec_watchdog_s)
+            results = execute_batch(entry, batch)
         except Exception as exc:  # noqa: BLE001 — worker must survive
             # one failed execution is ONE breaker failure however many
             # members it carried: counted per member, a single faulty

@@ -3,7 +3,7 @@
 Covers the :mod:`repro.chaos` plan/injector machinery itself (spec
 parsing, per-site RNG determinism, replay logs) and the containment
 layers it exists to validate: batch-failure containment, client-side
-retry, per-model circuit breakers, the executor watchdog, wire-frame
+retry, per-model circuit breakers, wire-frame
 bounds, and the evaluator's noise-budget guardrails.
 """
 
@@ -24,12 +24,10 @@ from repro import chaos
 from repro.backend import ExactBackend, SchemeConfig, SimBackend
 from repro.chaos import ChaosPlan, SiteSpec
 from repro.ckks import CkksParameters
-from repro.ckks.serialize import serialize_ciphertext
 from repro.errors import (
     ChaosError,
     CircuitOpenError,
     DeserializationError,
-    ExecutorStalledError,
     MessageTooLargeError,
     NoiseBudgetExhausted,
     QueueFullError,
@@ -95,10 +93,10 @@ def expected_scores(weights, x):
 
 
 def test_spec_roundtrip():
-    spec = "seed=42;executor.stall=0.1~0.2;wire.reset=0.5@3"
+    spec = "seed=42;backend.latency=0.1~0.2;wire.reset=0.5@3"
     plan = ChaosPlan.from_spec(spec)
     assert plan.seed == 42
-    assert plan.sites[chaos.EXECUTOR_STALL] == SiteSpec(0.1, None, 0.2)
+    assert plan.sites[chaos.BACKEND_LATENCY] == SiteSpec(0.1, None, 0.2)
     assert plan.sites[chaos.WIRE_RESET] == SiteSpec(0.5, 3, None)
     again = ChaosPlan.from_spec(plan.to_spec())
     assert again.seed == plan.seed and again.sites == plan.sites
@@ -161,11 +159,10 @@ def test_same_seed_reproduces_identical_fault_sequence(registry):
             decisions = [chaos.poison_request(i) for i in range(1, 25)]
             outcome = "ok"
             try:
-                # jobs=1 keeps the op issue order itself deterministic,
-                # so the whole event log (not just per-site streams) must
-                # replay identically
+                # ops issue in program order, so the whole event log
+                # (not just per-site streams) must replay identically
                 run_ckks_function(entry.program.module, fn, entry.backend,
-                                  [ct], check_plan=False, jobs=1)
+                                  [ct], check_plan=False)
             except (ChaosError, NoiseBudgetExhausted) as exc:
                 outcome = f"{type(exc).__name__}: {exc}"
             runs.append((decisions, outcome,
@@ -436,33 +433,6 @@ def test_breaker_reopens_when_probe_hits_full_queue(registry):
         assert worker.breaker(entry).state == CLOSED
     finally:
         worker.close()
-
-
-# -- executor watchdog -------------------------------------------------------
-
-
-def test_executor_watchdog_unsticks_stalled_execution(registry):
-    reg, weights = registry
-    entry = reg.get("credit")
-    x = np.full((1, 24), 0.1)
-    ct = entry.encryptor(entry.backend, x)
-    fn = entry.program.module.main()
-    plan = ChaosPlan(3, {chaos.EXECUTOR_THREAD_DEATH:
-                         SiteSpec(1.0, max_count=1, value=1.5)})
-    with chaos.active(plan) as inj:
-        with pytest.raises(ExecutorStalledError, match="watchdog"):
-            run_ckks_function(entry.program.module, fn, entry.backend, [ct],
-                              check_plan=False, jobs=2, watchdog_s=0.2)
-        assert inj.counts() == {chaos.EXECUTOR_THREAD_DEATH: 1}
-        # only that execution was poisoned: a retry under the same plan
-        # (firing cap exhausted) succeeds on fresh threads immediately,
-        # without waiting out the stalled one
-        outs = run_ckks_function(entry.program.module, fn, entry.backend,
-                                 [ct], check_plan=False, jobs=2,
-                                 watchdog_s=5.0)
-    got = entry.decrypt_result(serialize_ciphertext(outs[0]), 0)
-    assert np.allclose(got.ravel(), expected_scores(weights, x), atol=1e-3)
-    assert ExecutorStalledError.transient  # clients may retry it
 
 
 # -- wire-frame bounds -------------------------------------------------------

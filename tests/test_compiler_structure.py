@@ -6,6 +6,10 @@ function — ``ACECompiler._front`` (the front half the layout search's
 ``price`` shares) or ``ACECompiler._lower`` — so a second copy of the
 pipeline growing back inside a search, a replanner or a pricing helper
 shows up here as a named caller instead of as two diverging copies.
+
+A compiled program likewise runs one way — in program order, on the
+calling thread — so the names of the deleted in-process op thread pool
+(its job and memory budgets, width cap and watchdog) must not return.
 """
 
 import ast
@@ -27,6 +31,19 @@ STAGES = {
 #: the tree for them finds only the changelog
 GONE = ["_".join(parts) for parts in (
     ("run", "level", "replan"), ("plan", "cost"), ("", "lower", "plan"))]
+
+#: deleted parallel-execution machinery
+GONE_EXECUTION = [
+    "ThreadPoolExecutor", "concurrent.futures", "JobBudget", "resolve_jobs",
+    "resolve_mem_budget", "REPRO_JOBS", "REPRO_MEM_BUDGET", "watchdog_s",
+    "width_capped", "ParallelExecutor", "ExecutorStalledError",
+    "EXECUTOR_STALL", "EXECUTOR_THREAD_DEATH",
+]
+
+#: the serve request handle is a ``concurrent.futures.Future`` (callers
+#: attach completion callbacks to it); it completes a request, it runs
+#: no ops
+ALLOWED = {"concurrent.futures": {"serve/batcher.py", "serve/worker.py"}}
 
 
 def _functions(tree):
@@ -70,4 +87,15 @@ def test_deleted_lowering_paths_stay_deleted():
     offences = [f"{path.relative_to(SRC)} mentions {name}"
                 for path in sorted(SRC.rglob("*.py"))
                 for name in GONE if name in path.read_text()]
+    assert not offences, "\n".join(offences)
+
+
+def test_deleted_execution_paths_stay_deleted():
+    offences = [
+        f"{rel} mentions {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for rel in [path.relative_to(SRC).as_posix()]
+        for name in GONE_EXECUTION
+        if name in path.read_text() and rel not in ALLOWED.get(name, ())
+    ]
     assert not offences, "\n".join(offences)

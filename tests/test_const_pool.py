@@ -17,7 +17,7 @@ from repro.ckks import CkksParameters
 from repro.errors import ChaosError, RuntimeBackendError
 from repro.ir import CipherType, IRBuilder, Module, VectorType, compute_schedule
 from repro.ir.core import Op, Value
-from repro.runtime import ParallelExecutor
+from repro.runtime import ckks_interp
 from repro.runtime import executor as executor_module
 from repro.runtime.ckks_interp import run_ckks_function
 from repro.runtime.executor import cached_schedule, const_pool
@@ -69,15 +69,15 @@ def _published(backend, module, fn):
 
 @pytest.fixture
 def issued(monkeypatch):
-    """Opcodes reaching ``ParallelExecutor._issue``, in issue order."""
+    """Opcodes reaching ``ckks_interp._issue``, in issue order."""
     seen = []
-    real = ParallelExecutor._issue
+    real = ckks_interp._issue
 
-    def spy(self, module, op, args, tag, check_plan):
+    def spy(module, op, args, be, tag, check_plan):
         seen.append(op.opcode)
-        return real(self, module, op, args, tag, check_plan)
+        return real(module, op, args, be, tag, check_plan)
 
-    monkeypatch.setattr(ParallelExecutor, "_issue", spy)
+    monkeypatch.setattr(ckks_interp, "_issue", spy)
     return seen
 
 
@@ -123,23 +123,21 @@ def test_encode_of_a_cleartext_parameter_is_not_static():
 
 # -- same results as issuing everything every run ---------------------------
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_three_runs_match_first_runs_sim_noise(jobs):
+def test_three_runs_match_first_runs_sim_noise():
     """Run k on one backend (k > 1 steady) == a first run on a fresh one."""
     module = Module("m")
     fn = _weighted(module)
     shared = _sim()
     for x in _inputs():
         got = run_ckks_function(module, fn, shared, [x],
-                                check_plan=False, jobs=jobs)[0]
+                                check_plan=False)[0]
         want = run_ckks_function(module, fn, _sim(), [x],
-                                 check_plan=False, jobs=1)[0]
+                                 check_plan=False)[0]
         assert np.array_equal(got.values, want.values)
         assert (got.scale, got.level) == (want.scale, want.level)
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_three_runs_match_first_runs_exact_gemm(jobs):
+def test_three_runs_match_first_runs_exact_gemm():
     """Real RNS residues, limb for limb (same keygen seed, one shared
     input ciphertext so encryption randomness is not in the comparison)."""
     program, params = _gemm_program()
@@ -149,9 +147,9 @@ def test_three_runs_match_first_runs_exact_gemm(jobs):
     for _ in range(3):
         x = rng.uniform(-1, 1, size=(1, 12))
         ct = shared.encrypt(program.pack_input(x, 0))
-        got = run_ckks_function(module, fn, shared, [ct], jobs=jobs)[0]
+        got = run_ckks_function(module, fn, shared, [ct])[0]
         fresh = program.make_exact_backend(params, seed=7)
-        want = run_ckks_function(module, fn, fresh, [ct], jobs=1)[0]
+        want = run_ckks_function(module, fn, fresh, [ct])[0]
         assert (got.level, got.scale) == (want.level, want.scale)
         for k in range(2):
             assert np.array_equal(got.parts[k].residues,
@@ -169,18 +167,16 @@ class _CountingSim(SimBackend):
         return super().encode(values, scale, level)
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_static_ops_issue_once_per_backend(issued, jobs):
+def test_static_ops_issue_once_per_backend(issued):
     module = Module("m")
     fn = _weighted(module)
     backend = _sim(cls=_CountingSim)
     x = _inputs(1)[0]
-    run_ckks_function(module, fn, backend, [x], check_plan=False, jobs=jobs)
+    run_ckks_function(module, fn, backend, [x], check_plan=False)
     assert sorted(issued) == sorted(op.opcode for op in fn.body)
     del issued[:]
     for _ in range(2):
-        run_ckks_function(module, fn, backend, [x], check_plan=False,
-                          jobs=jobs)
+        run_ckks_function(module, fn, backend, [x], check_plan=False)
     assert backend.encodes == 6
     assert "vector.constant" not in issued and "ckks.encode" not in issued
     assert len(issued) == 2 * (len(fn.body) - 12)
@@ -203,8 +199,7 @@ def test_pool_is_per_backend_and_dies_with_it():
     assert _published(second, module, fn)
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_encode_of_a_parameter_reencodes_and_follows_it(jobs):
+def test_encode_of_a_parameter_reencodes_and_follows_it():
     module = Module("m")
     fn = _weighted(module, mask_param=True)
     backend = _sim(cls=_CountingSim)
@@ -212,7 +207,7 @@ def test_encode_of_a_parameter_reencodes_and_follows_it(jobs):
     outs = []
     for mask in (np.ones(SLOTS), np.zeros(SLOTS), np.ones(SLOTS)):
         out = run_ckks_function(module, fn, backend, [x, mask],
-                                check_plan=False, jobs=jobs)[0]
+                                check_plan=False)[0]
         outs.append(backend.decrypt(out, SLOTS))
     assert backend.encodes == 18
     assert np.array_equal(outs[0], outs[2])
@@ -220,18 +215,17 @@ def test_encode_of_a_parameter_reencodes_and_follows_it(jobs):
     assert not _published(backend, module, fn).skip - compute_schedule(fn).static
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_bound_pins_a_prefix_and_reruns_the_rest(monkeypatch, issued, jobs):
+def test_bound_pins_a_prefix_and_reruns_the_rest(monkeypatch, issued):
     monkeypatch.setattr(executor_module, "_ENCODE_CACHE_MAX", 3)
     module = Module("m")
     fn = _weighted(module)
     backend = _sim(cls=_CountingSim)
     for x in _inputs():
         want = run_ckks_function(module, fn, _sim(), [x],
-                                 check_plan=False, jobs=1)[0]
+                                 check_plan=False)[0]
         del issued[:]
         got = run_ckks_function(module, fn, backend, [x],
-                                check_plan=False, jobs=jobs)[0]
+                                check_plan=False)[0]
         assert np.array_equal(got.values, want.values)
     pool = _published(backend, module, fn)
     assert len(pool.values) == 3
@@ -243,23 +237,24 @@ def test_bound_pins_a_prefix_and_reruns_the_rest(monkeypatch, issued, jobs):
     assert issued.count("ckks.encode") == issued.count("vector.constant") == 3
 
 
-def test_mem_budget_never_counts_pooled_plaintexts():
+def test_pooled_plaintexts_never_enter_the_environment(monkeypatch):
     """Pooled values are looked up, not copied into the environment."""
     module = Module("m")
     fn = _weighted(module)
+    backend = _sim()
     x = _inputs(1)[0]
     seen = []
+    real = ckks_interp._values
 
-    class Probe(ParallelExecutor):
-        def _live_bytes(self, env):
-            seen.append(set(env))
-            return super()._live_bytes(env)
+    def probe(env, pool, values):
+        seen.append(set(env))
+        return real(env, pool, values)
 
-    executor = Probe(_sim(), jobs=4, mem_budget=1 << 40)
-    executor.run(module, fn, [x], check_plan=False)
-    pool = _published(executor.backend, module, fn)
+    monkeypatch.setattr(ckks_interp, "_values", probe)
+    run_ckks_function(module, fn, backend, [x], check_plan=False)
+    pool = _published(backend, module, fn)
     del seen[:]
-    executor.run(module, fn, [x], check_plan=False)
+    run_ckks_function(module, fn, backend, [x], check_plan=False)
     assert seen and not any(env & set(pool.values) for env in seen)
 
 
@@ -285,16 +280,15 @@ def test_cached_schedule_invalidates_on_same_length_edit():
     assert first.deps[1] == (0,) and second.deps[1] == ()
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_rebinding_a_constant_between_runs_is_seen(jobs):
+def test_rebinding_a_constant_between_runs_is_seen():
     module = Module("m")
     fn = _weighted(module)
     backend = _sim()
     x = _inputs(1)[0]
 
     def run(on):
-        return run_ckks_function(module, fn, on, [x], check_plan=False,
-                                 jobs=jobs)[0].values
+        return run_ckks_function(module, fn, on, [x],
+                                 check_plan=False)[0].values
 
     before = run(backend)
     assert np.array_equal(run(backend), before)
@@ -305,20 +299,18 @@ def test_rebinding_a_constant_between_runs_is_seen(jobs):
     assert np.array_equal(after, run(_sim()))
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_same_length_body_edit_drops_the_pool(jobs):
+def test_same_length_body_edit_drops_the_pool():
     module = Module("m")
     fn = _weighted(module)
     backend = _sim()
     x = _inputs(1)[0]
-    run_ckks_function(module, fn, backend, [x], check_plan=False, jobs=jobs)
+    run_ckks_function(module, fn, backend, [x], check_plan=False)
     other = module.add_constant("w", np.full(SLOTS // 2, 0.25))
     new = Op("vector.constant", [], [Value(VectorType(SLOTS))],
              {"const_name": other, "length": SLOTS})
     fn.body[0] = new
     fn.body[1].operands = [new.results[0]]
-    got = run_ckks_function(module, fn, backend, [x], check_plan=False,
-                            jobs=jobs)[0]
+    got = run_ckks_function(module, fn, backend, [x], check_plan=False)[0]
     want = run_ckks_function(module, fn, _sim(), [x], check_plan=False)[0]
     assert np.array_equal(got.values, want.values)
 

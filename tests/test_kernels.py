@@ -329,8 +329,8 @@ def test_ciphertext_bytes_identical_across_backends(name):
 
 
 @pytest.mark.parametrize("name", ALT_BACKENDS)
-def test_exact_backend_bit_identical_across_backends_and_jobs(name):
-    """ExactBackend DAG run: same residues at jobs=1/numpy vs jobs=4/alt."""
+def test_exact_backend_bit_identical_across_backends(name):
+    """ExactBackend program run: same residues on numpy and ``name``."""
     from repro.backend import ExactBackend
 
     params = CkksParameters(poly_degree=N, scale_bits=30,
@@ -348,11 +348,11 @@ def test_exact_backend_bit_identical_across_backends_and_jobs(name):
     x_in = np.linspace(-0.5, 0.5, SLOTS)
 
     outs = {}
-    for backend, jobs in (("numpy", 1), (name, 4)):
+    for backend in ("numpy", name):
         kernels.set_backend(backend)
         exact = ExactBackend(params, rotation_steps=[1, 2], seed=5)
         outs[backend] = run_ckks_function(module, b.function, exact, [x_in],
-                                          check_plan=False, jobs=jobs)[0]
+                                          check_plan=False)[0]
     ref, alt = outs["numpy"], outs[name]
     assert ref.level == alt.level and ref.scale == alt.scale
     for k in range(ref.size):

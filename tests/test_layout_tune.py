@@ -82,7 +82,7 @@ MODELS = {
 @pytest.mark.parametrize("kind", sorted(MODELS))
 def test_every_candidate_matches_heuristic_sim(kind):
     """Each enumerated candidate decrypts to the heuristic's cleartext
-    (noiseless simulation, 4 executor jobs)."""
+    (noiseless simulation)."""
     make, shape, slots = MODELS[kind]
     model = make()
     x = np.random.default_rng(1).normal(size=shape) * 0.5
@@ -93,7 +93,7 @@ def test_every_candidate_matches_heuristic_sim(kind):
         program = ACECompiler(model, CompileOptions(
             poly_mode="off", slots=slots, layout_plan=plan)).compile()
         backend = program.make_sim_backend(seed=0, inject_noise=False)
-        return program.run(backend, x, check_plan=False, jobs=4)[0].ravel()
+        return program.run(backend, x, check_plan=False)[0].ravel()
 
     expected = run(None)
     for key, choice in plans:
@@ -115,7 +115,7 @@ def test_every_candidate_matches_heuristic_exact():
             poly_mode="off", exact_params=params, bootstrap_enabled=False,
             layout_plan=plan)).compile()
         backend = program.make_exact_backend(params, seed=3)
-        return program.run(backend, x, jobs=4)[0].ravel()
+        return program.run(backend, x)[0].ravel()
 
     expected = run(None)
     for key, choice in plans:
@@ -168,6 +168,22 @@ def test_search_mode_improves_predicted_cost():
     final = layout["predicted_final_seconds"]
     assert final["chosen"] <= final["heuristic"]
     assert final["chosen"] == layout["predicted_seconds"]
+
+
+def test_search_stats_ignore_the_executor_environment(monkeypatch):
+    """The plan and its prices are the compiler's alone: an executor
+    setting in the environment changes nothing a search records."""
+    model = _gemm_model(48, 48)
+
+    def layout_stats():
+        return ACECompiler(model, CompileOptions(
+            poly_mode="off", slots=256,
+            layout_tune="search")).compile().stats["layout"]
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    unset = layout_stats()
+    monkeypatch.setenv("REPRO_JOBS", "4")
+    assert layout_stats() == unset
 
 
 def test_heuristic_mode_records_stats_without_plan():

@@ -333,27 +333,14 @@ class TestReplanEndToEnd:
         ref = programs[2][0].forward(img).ravel()
         assert outs[2].argmax() == ref.argmax()
 
-    def test_parallel_jobs_bit_identical(self, programs):
-        _, program = programs[2]
-        rng = np.random.default_rng(1)
-        img = rng.normal(size=(1, 1, 8, 8)) * 0.5
-        seq = program.run(
-            program.make_sim_backend(inject_noise=False, seed=0), img,
-            jobs=1)[0]
-        par = program.run(
-            program.make_sim_backend(inject_noise=False, seed=0), img,
-            jobs=4)[0]
-        assert np.array_equal(seq, par)
-
-    def test_env_jobs_and_kernel_selection(self, programs, monkeypatch):
-        # the replanned program under the environment the CI matrix
-        # exercises: REPRO_JOBS=4 plus the numba kernels when available
+    def test_env_kernel_selection(self, programs, monkeypatch):
+        # the replanned program under the kernel backend the CI matrix
+        # exercises: the numba kernels when available
         _, program = programs[2]
         rng = np.random.default_rng(2)
         img = rng.normal(size=(1, 1, 8, 8)) * 0.5
         base = program.run(
             program.make_sim_backend(inject_noise=False, seed=0), img)[0]
-        monkeypatch.setenv("REPRO_JOBS", "4")
         if kernels.backend_available("numba"):
             monkeypatch.setenv("REPRO_KERNEL", "numba")
         out = program.run(

@@ -455,9 +455,8 @@ def test_relu_model_opt_levels_agree():
     assert lazy and lazy[0]["rewrites"] > 0  # pattern R fired
 
 
-def test_resnet_lite_optimized_parallel(monkeypatch):
-    """Tier-1 ResNet-lite path at opt 2 under four executor jobs."""
-    monkeypatch.setenv("REPRO_JOBS", "4")
+def test_resnet_lite_optimized():
+    """Tier-1 ResNet-lite path at opt 2."""
     rng = np.random.default_rng(7)
     model = resnet_mini(num_classes=4, in_channels=1, base_width=2,
                         input_size=8, blocks=1, seed=1)
@@ -466,7 +465,7 @@ def test_resnet_lite_optimized_parallel(monkeypatch):
         sign_iterations=3, poly_mode="off", opt_level=2)).compile()
     backend = program.make_sim_backend(seed=2)
     img = rng.normal(size=(1, 1, 8, 8)) * 0.5
-    out = program.run(backend, img, jobs=4)[0]
+    out = program.run(backend, img)[0]
     ref = model.forward(img).ravel()
     assert out.argmax() == ref.argmax()
     summary = program.stats["opt"]

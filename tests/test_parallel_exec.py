@@ -1,5 +1,6 @@
-"""Parallel DAG executor: schedule analysis, bit-identical execution,
-thread-safety of the shared caches, job budgeting."""
+"""Op schedules and the executor: DAG analysis, in-order execution of
+compiled CKKS programs, and thread-safety of the caches that threads
+sharing one backend (serve workers, user threads) populate."""
 
 import threading
 
@@ -8,7 +9,6 @@ import pytest
 
 from repro.backend import ExactBackend, SchemeConfig, SimBackend
 from repro.ckks import CkksParameters
-from repro.errors import ReproError
 from repro.ir import (
     CipherType,
     IRBuilder,
@@ -19,7 +19,6 @@ from repro.ir import (
     build_op_dag,
     compute_schedule,
 )
-from repro.runtime import JobBudget, ParallelExecutor, resolve_jobs
 from repro.runtime.ckks_interp import run_ckks_function
 from repro.runtime.executor import cached_schedule
 
@@ -45,7 +44,7 @@ def _diamond(module, opcode, ptype, attrs=None):
 
 def _branchy_ckks(module, branches=6, chain=3, slots=64):
     """Wide fan-out from one input: `branches` independent rotate chains
-    folded by a balanced add tree — the shape the executor exploits."""
+    folded by a balanced add tree."""
     b = IRBuilder.make_function(module, "main", [CipherType(slots)], ["x"])
     x = b.function.params[0]
     tips = []
@@ -137,119 +136,41 @@ def test_cached_schedule_invalidates_on_growth():
     assert second.num_ops == first.num_ops + 1
 
 
-# -- bit-identical parallel execution ---------------------------------------
+# -- executing compiled programs ------------------------------------------
 
-def test_parallel_matches_sequential_sim_backend():
-    """SimBackend *with noise injection*: noise is content-derived, so
-    any completion order produces bit-identical values."""
-    module = Module("m")
-    fn = _branchy_ckks(module, branches=6, chain=3)
-    x = np.linspace(-1, 1, 64)
-    seq = run_ckks_function(module, fn, _sim(), [x],
-                            check_plan=False, jobs=1)[0]
-    par = run_ckks_function(module, fn, _sim(), [x],
-                            check_plan=False, jobs=4)[0]
-    assert np.array_equal(seq.values, par.values)
-    assert seq.scale == par.scale and seq.level == par.level
-
-
-def test_parallel_matches_sequential_sim_mul_chain():
-    """Noise determinism through mul/relin/rescale, not just rotations."""
-    module = Module("m")
-    b = IRBuilder.make_function(module, "main", [CipherType(64)], ["x"])
-    x = b.function.params[0]
-    tips = []
-    for i in (1, 2, 3, 4):
-        r = b.emit("ckks.rotate", [x], {"steps": i})
-        m = b.emit("ckks.mul", [r, r])
-        m = b.emit("ckks.relin", [m])
-        tips.append(b.emit("ckks.rescale", [m]))
-    out = b.emit("ckks.add", [tips[0], tips[1]])
-    out2 = b.emit("ckks.add", [tips[2], tips[3]])
-    b.ret([b.emit("ckks.add", [out, out2])])
-    x_in = np.linspace(0.1, 0.9, 64)
-    seq = run_ckks_function(module, b.function, _sim(), [x_in],
-                            check_plan=False, jobs=1)[0]
-    par = run_ckks_function(module, b.function, _sim(), [x_in],
-                            check_plan=False, jobs=8)[0]
-    assert np.array_equal(seq.values, par.values)
-
-
-def test_parallel_matches_sequential_exact_backend():
-    """ExactBackend: real RNS residues compared limb-for-limb."""
-    params = CkksParameters(poly_degree=128, scale_bits=30,
-                            first_prime_bits=40, num_levels=3)
-    module = Module("m")
-    b = IRBuilder.make_function(module, "main", [CipherType(64)], ["x"])
-    x = b.function.params[0]
-    rots = [b.emit("ckks.rotate", [x], {"steps": i}) for i in (1, 2, 4, 8)]
-    conj = b.emit("ckks.conjugate", [x])
-    acc = conj
-    for r in rots:
-        acc = b.emit("ckks.add", [acc, r])
-    b.ret([acc])
-    x_in = np.linspace(-0.5, 0.5, 64)
-    outs = []
-    for jobs in (1, 4):
-        backend = ExactBackend(params, rotation_steps=[1, 2, 4, 8], seed=5)
-        outs.append(run_ckks_function(module, b.function, backend, [x_in],
-                                      check_plan=False, jobs=jobs)[0])
-    seq, par = outs
-    assert seq.level == par.level and seq.scale == par.scale
-    for k in range(2):
-        assert np.array_equal(seq.parts[k].residues, par.parts[k].residues)
-
-
-def test_parallel_compiled_program_with_plan_check(gemv_program):
-    """A real compiled program, plan-check enabled, jobs=1 vs jobs=4."""
-    program, x, expected = gemv_program
-    seq = program.run(program.make_sim_backend(seed=1), x, jobs=1)[0]
-    par = program.run(program.make_sim_backend(seed=1), x, jobs=4)[0]
-    assert np.array_equal(seq, par)
-    assert np.allclose(par, expected, atol=1e-3)
-
-
-@pytest.fixture(scope="module")
-def gemv_program():
+def test_compiled_stats_report_schedule():
     from repro.compiler import ACECompiler, CompileOptions
     from repro.onnx import OnnxGraphBuilder, load_model_bytes, model_to_bytes
 
     rng = np.random.default_rng(0)
     builder = OnnxGraphBuilder("linear_infer")
     builder.add_input("image", [1, 84])
-    weight = (rng.normal(size=(10, 84)) * 0.3).astype(np.float32)
-    bias = rng.normal(size=(10,)).astype(np.float32)
-    builder.add_initializer("fc.weight", weight)
-    builder.add_initializer("fc.bias", bias)
+    builder.add_initializer(
+        "fc.weight", (rng.normal(size=(10, 84)) * 0.3).astype(np.float32))
+    builder.add_initializer(
+        "fc.bias", rng.normal(size=(10,)).astype(np.float32))
     builder.add_node("Gemm", ["image", "fc.weight", "fc.bias"],
                      outputs=["output"], transB=1)
     builder.add_output("output", [1, 10])
     model = load_model_bytes(model_to_bytes(builder.build()))
     program = ACECompiler(model, CompileOptions(poly_mode="off")).compile()
-    x = rng.normal(size=(1, 84)) * 0.5
-    expected = x @ weight.T + bias
-    return program, x, expected
-
-
-def test_parallel_compiled_stats_report_schedule(gemv_program):
-    program, _, _ = gemv_program
     desc = program.stats["schedule"]
     assert desc["ops"] > 0 and desc["max_width"] >= 1
     assert desc["stages"] <= desc["ops"]
 
 
-def test_parallel_liveness_frees_dead_values():
+def test_liveness_frees_dead_values():
     module = Module("m")
     fn = _branchy_ckks(module, branches=4, chain=8)
     backend = _sim(noise=False)
-    executor = ParallelExecutor(backend, jobs=4)
-    out = executor.run(module, fn, [np.ones(64)], check_plan=False)
+    out = run_ckks_function(module, fn, backend, [np.ones(64)],
+                            check_plan=False)
     got = backend.decrypt(out[0], 64)
     assert np.allclose(got, 4.0, atol=1e-6)
 
 
-def test_parallel_op_error_propagates():
-    """A failing op surfaces its typed error; the pool does not hang."""
+def test_op_error_propagates():
+    """A failing op surfaces its typed error."""
     from repro.errors import RuntimeBackendError
 
     module = Module("m")
@@ -260,21 +181,20 @@ def test_parallel_op_error_propagates():
     b.ret([bad])
     with pytest.raises(RuntimeBackendError):
         run_ckks_function(module, b.function, _sim(), [np.ones(64)],
-                          check_plan=False, jobs=4)
+                          check_plan=False)
 
 
-# -- trace determinism under concurrency ------------------------------------
+# -- trace determinism ------------------------------------------------------
 
-def test_trace_counts_deterministic_under_parallelism():
+def test_trace_counts_deterministic_across_backends():
     module = Module("m")
     fn = _branchy_ckks(module, branches=6, chain=4)
     x = np.ones(64)
     backends = [_sim(noise=False) for _ in range(3)]
-    run_ckks_function(module, fn, backends[0], [x], check_plan=False, jobs=1)
-    run_ckks_function(module, fn, backends[1], [x], check_plan=False, jobs=4)
-    run_ckks_function(module, fn, backends[2], [x], check_plan=False, jobs=4)
-    seq, par_a, par_b = (b.trace._snapshot() for b in backends)
-    assert seq == par_a == par_b
+    for backend in backends:
+        run_ckks_function(module, fn, backend, [x], check_plan=False)
+    first, second, third = (b.trace._snapshot() for b in backends)
+    assert first == second == third
 
 
 def test_trace_region_tags_do_not_leak_across_threads():
@@ -381,107 +301,3 @@ def test_linear_transform_memo_safe_under_threads():
         for k in range(2):
             assert np.array_equal(out.parts[k].residues,
                                   baseline.parts[k].residues)
-
-
-# -- jobs resolution + budgeting --------------------------------------------
-
-def test_resolve_jobs_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "8")
-    assert resolve_jobs(2) == 2
-    assert resolve_jobs(None) == 8
-    monkeypatch.delenv("REPRO_JOBS")
-    assert resolve_jobs(None) == 1
-
-
-def test_resolve_jobs_rejects_bad_values(monkeypatch):
-    with pytest.raises(ReproError):
-        resolve_jobs(0)
-    monkeypatch.setenv("REPRO_JOBS", "banana")
-    with pytest.raises(ReproError):
-        resolve_jobs(None)
-
-
-def test_job_budget_grants_and_releases():
-    budget = JobBudget(4)
-    first = budget.acquire(4)
-    assert first == 4 and budget.available == 0
-    # exhausted: later acquirers still get 1 (progress guarantee)
-    assert budget.acquire(4) == 1
-    budget.release(1)
-    budget.release(first)
-    assert budget.available == 4
-    # partial availability: want 4, 2 free -> granted 2
-    assert budget.acquire(3) == 3
-    assert budget.acquire(4) == 1
-    budget.release(3)
-    budget.release(1)
-    # want<=1 never draws from the pool
-    assert budget.acquire(1) == 1 and budget.available == 4
-    with pytest.raises(ReproError):
-        JobBudget(0)
-
-
-def test_executor_respects_shared_budget():
-    """With the budget exhausted, an executor degrades to sequential but
-    still computes the right answer (and releases what it took)."""
-    module = Module("m")
-    fn = _branchy_ckks(module, branches=4, chain=2)
-    budget = JobBudget(2)
-    hog = budget.acquire(2)
-    backend = _sim(noise=False)
-    executor = ParallelExecutor(backend, jobs=4, budget=budget)
-    out = executor.run(module, fn, [np.ones(64)], check_plan=False)
-    assert np.allclose(backend.decrypt(out[0], 64), 4.0, atol=1e-6)
-    budget.release(hog)
-    assert budget.available == 2
-
-
-# -- memory-aware issue-width capping (REPRO_MEM_BUDGET) --------------------
-
-def _run_branchy(executor, module, fn):
-    return executor.run(module, fn, [np.ones(64)], check_plan=False)
-
-
-def test_mem_budget_capped_run_bit_identical():
-    """A starved budget narrows issue width but never changes results."""
-    from repro.runtime.executor import width_capped_total
-
-    module = Module("m")
-    fn = _branchy_ckks(module, branches=6, chain=2)
-    free = ParallelExecutor(_sim(seed=3), jobs=4)
-    want = _run_branchy(free, module, fn)
-    before = width_capped_total()
-    capped = ParallelExecutor(_sim(seed=3), jobs=4, mem_budget=2000)
-    got = _run_branchy(capped, module, fn)
-    assert [np.array_equal(a.values, b.values) for a, b in zip(want, got)]
-    assert capped.width_capped > 0
-    assert width_capped_total() > before
-    assert free.width_capped == 0  # no budget, no capping
-
-
-def test_mem_budget_huge_budget_never_caps():
-    module = Module("m")
-    fn = _branchy_ckks(module, branches=4, chain=2)
-    executor = ParallelExecutor(_sim(seed=1), jobs=4, mem_budget=1 << 40)
-    _run_branchy(executor, module, fn)
-    assert executor.width_capped == 0
-
-
-def test_mem_budget_resolved_from_env(monkeypatch):
-    from repro.runtime.executor import resolve_mem_budget
-
-    monkeypatch.setenv("REPRO_MEM_BUDGET", "4096")
-    assert resolve_mem_budget() == 4096
-    assert resolve_mem_budget(123) == 123  # explicit beats env
-    monkeypatch.delenv("REPRO_MEM_BUDGET")
-    assert resolve_mem_budget() is None
-    assert ParallelExecutor(_sim(), jobs=2).mem_budget is None
-
-
-@pytest.mark.parametrize("bad", ["0", "-5", "lots", "1.5"])
-def test_mem_budget_rejects_bad_values(monkeypatch, bad):
-    from repro.runtime.executor import resolve_mem_budget
-
-    monkeypatch.setenv("REPRO_MEM_BUDGET", bad)
-    with pytest.raises(ReproError):
-        resolve_mem_budget()
