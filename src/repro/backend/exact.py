@@ -171,15 +171,10 @@ class ExactBackend(HEBackend):
 
     # -- slots ---------------------------------------------------------------
 
-    def rotate(self, a, steps):
+    def rotate(self, a, steps, keep=False):
         self._rec("rotate", a)
-        return chaos.corrupt_result("rotate", self.ev.rotate(a, steps))
-
-    def rotate_hoisted(self, a, steps_list):
-        """Batch-rotate one ciphertext, sharing the key-switch decomposition."""
-        for _ in steps_list:
-            self._rec("rotate", a)
-        return self.ev.rotate_hoisted(a, steps_list)
+        return chaos.corrupt_result("rotate",
+                                    self.ev.rotate(a, steps, keep=keep))
 
     def conjugate(self, a):
         self._rec("conjugate", a)

@@ -130,8 +130,14 @@ class HEBackend(ABC):
     # -- slot manipulation -----------------------------------------------
 
     @abstractmethod
-    def rotate(self, a, steps: int):
-        ...
+    def rotate(self, a, steps: int, keep: bool = False):
+        """Rotate the slots of ``a`` left by ``steps``.
+
+        ``keep=True`` says a later rotation reads ``a`` too: the backend
+        may hold work those rotations share (the key-switch
+        decomposition) on ``a`` until a call with ``keep=False``.  The
+        result never depends on ``keep``.
+        """
 
     @abstractmethod
     def conjugate(self, a):

@@ -368,7 +368,8 @@ class SimBackend(HEBackend):
 
     # -- slots ------------------------------------------------------------------
 
-    def rotate(self, a, steps):
+    def rotate(self, a, steps, keep=False):
+        # ``keep`` is ignored: a simulated rotation shares no work
         if a.size != 2:
             raise ParameterError("relinearise before rotating")
         steps = steps % self.config.num_slots

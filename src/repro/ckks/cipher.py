@@ -9,10 +9,14 @@ single encoded RNS polynomial with the same metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ParameterError
 from repro.polymath.rns import RnsPoly
+
+if TYPE_CHECKING:
+    from repro.ckks.evaluator import HoistedDecomposition
 
 
 @dataclass
@@ -33,11 +37,19 @@ class Plaintext:
 
 @dataclass
 class Ciphertext:
-    """An RNS-CKKS ciphertext (2 or 3 polynomial parts)."""
+    """An RNS-CKKS ciphertext (2 or 3 polynomial parts).
+
+    ``hoisted`` holds the key-switch decomposition of ``parts[1]`` while
+    more rotations of this ciphertext are due (``CkksEvaluator.rotate``
+    with ``keep=True``); it is derived state, so it is neither compared
+    nor copied.
+    """
 
     parts: list[RnsPoly]
     scale: float
     slots_in_use: int = 0  # informational: message length, 0 = unknown
+    hoisted: "HoistedDecomposition | None" = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.parts) not in (2, 3):

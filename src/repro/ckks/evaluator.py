@@ -20,6 +20,9 @@ expensive half can be shared:
 
 ``rotate`` routes through the same machinery with a single step, so a
 hoisted batch is bit-for-bit identical to a loop of plain rotations.
+A compiled program hoists through ``rotate(..., keep=True)``: the
+source ciphertext holds its decomposition (``Ciphertext.hoisted``)
+until the last rotation that reads it.
 """
 
 from __future__ import annotations
@@ -487,7 +490,8 @@ class CkksEvaluator:
         decomp = self._decompose(a.parts[1])
         return self._apply_galois_hoisted(a, galois, ksk, decomp)
 
-    def rotate(self, a: Ciphertext, steps: int) -> Ciphertext:
+    def rotate(self, a: Ciphertext, steps: int,
+               keep: bool = False) -> Ciphertext:
         """Cyclically rotate the slot vector left by ``steps``.
 
         If no key exists for the exact step, the rotation is composed from
@@ -497,14 +501,30 @@ class CkksEvaluator:
         keys for the exact steps a program needs.  Every key switch spent
         on composition increments :attr:`rotation_fallback_count` so tests
         and benchmarks can assert the pass did its job.
+
+        ``keep`` says more rotations of ``a`` follow.  An exact-key
+        rotation reuses the decomposition ``a.hoisted`` holds, or
+        computes it, and leaves it on ``a`` only if ``keep`` is set; a
+        call with ``keep=False`` always leaves ``a`` holding nothing.
+        The composed fallback neither reads nor stores it.  Results are
+        bit-identical to rotating without ``keep``.
         """
         n = self.params.poly_degree
         steps = steps % (n // 2)
+        held = a.hoisted
+        if not keep:
+            a.hoisted = None
         if steps == 0:
             return a.copy()
         galois = rotation_galois_element(steps, n)
-        if galois in self.keys.rotations:
-            return self._apply_galois(a, galois, self.keys.rotations[galois])
+        ksk = self.keys.rotations.get(galois)
+        if ksk is not None:
+            if a.size != 2:
+                raise ParameterError("relinearise before rotating")
+            decomp = held if held is not None else self._decompose(a.parts[1])
+            if keep:
+                a.hoisted = decomp
+            return self._apply_galois_hoisted(a, galois, ksk, decomp)
         out = a
         bit = 1
         remaining = steps

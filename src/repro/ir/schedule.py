@@ -12,9 +12,14 @@ multiply, per-channel convolutions.  This module recovers it from a
   ``k`` holds every op whose predecessors all sit in stages ``< k``) and
   folds in the interpreter's last-use liveness as per-value consumer
   refcounts, so the executor drops dead ciphertexts the moment their
-  final consumer completes, and marks the *static* ops —
+  final consumer completes, marks the *static* ops —
   those no function parameter reaches — whose results are the same on
-  every execution;
+  every execution, and marks the rotations whose source a later
+  rotation reads (the runtime keeps that source's key-switch
+  decomposition until its last rotation);
+* :func:`rotation_groups` is the one definition of a rotation group —
+  the rotations of one source value — shared by the runtime and the
+  cost model, which prices each group as one hoisted batch;
 * :func:`schedule_pass` exposes the analysis through the pass manager
   (level "Others": it is dialect-agnostic and runs on every IR level).
 
@@ -55,6 +60,12 @@ class OpSchedule:
             non-static op.  An op with a cipher-typed result is never
             static.  In compiled programs this is the ``vector.*``
             constant subgraph and the ``ckks.encode`` ops it feeds.
+        keep_decomposition: indices of rotation ops whose source value a
+            later rotation in program order also reads — every op of a
+            :func:`rotation_groups` group but its last.  The interpreter
+            passes ``keep=True`` to ``HEBackend.rotate`` for these, so
+            one key-switch decomposition of the source serves the whole
+            group and is dropped by the group's last rotation.
     """
 
     deps: list[tuple[int, ...]]
@@ -63,6 +74,7 @@ class OpSchedule:
     stage_of: list[int]
     consumers: dict[int, int] = field(default_factory=dict)
     static: frozenset[int] = frozenset()
+    keep_decomposition: frozenset[int] = frozenset()
 
     @property
     def num_ops(self) -> int:
@@ -125,6 +137,24 @@ def build_op_dag(fn: Function) -> tuple[list[tuple[int, ...]], list[tuple[int, .
     return deps, [tuple(sorted(u)) for u in users]
 
 
+#: opcodes that rotate their first operand, at every IR level
+ROTATIONS = frozenset({"ckks.rotate", "sihe.rotate", "vector.roll"})
+
+
+def rotation_groups(fn: Function) -> dict[int, list[int]]:
+    """Source value id -> indices of the rotations reading it, in
+    program order.
+
+    One group shares one key-switch decomposition at run time
+    (Halevi–Shoup hoisting), and the cost model prices it as one batch.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, op in enumerate(fn.body):
+        if op.opcode in ROTATIONS:
+            groups.setdefault(op.operands[0].id, []).append(index)
+    return groups
+
+
 def compute_schedule(fn: Function) -> OpSchedule:
     """Wavefront schedule of ``fn`` with liveness refcounts folded in."""
     deps, users = build_op_dag(fn)
@@ -151,9 +181,13 @@ def compute_schedule(fn: Function) -> OpSchedule:
         else:
             for result in op.results:
                 dynamic.add(result.id)
+    keep_decomposition = frozenset(
+        index for group in rotation_groups(fn).values()
+        for index in group[:-1])
     return OpSchedule(
         deps=deps, users=users, stages=stages, stage_of=stage_of,
         consumers=consumers, static=frozenset(static),
+        keep_decomposition=keep_decomposition,
     )
 
 

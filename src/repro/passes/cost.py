@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 
 from repro.backend.trace import OpTrace
 from repro.ir.core import Function, Op, Value
+from repro.ir.schedule import ROTATIONS, rotation_groups
 from repro.ir.types import Cipher3Type
 
 #: opcode -> priced kind for the ``vector.*``, ``sihe.*`` and ``ckks.*``
@@ -144,12 +145,13 @@ class CostModel:
         """Seconds for ``count`` rotations of one ciphertext under hoisting.
 
         The runtime shares a single digit decomposition across every
-        rotation of the same input (PR-2 hoisted path): the
-        ``digits * ext`` decomposition NTTs are paid once per batch, and
-        each rotation then costs only its mod-down NTTs and
-        multiply-accumulates.  Costing the batch per-rotation over-prices
-        BSGS regions by nearly the full decomposition each step, which
-        made the optimizer's gates too timid about rotation-heavy plans.
+        rotation of the same source (``CkksEvaluator.rotate`` with
+        ``keep``, and ``rotate_hoisted``): the ``digits * ext``
+        decomposition NTTs are paid once per batch, and each rotation
+        then costs only its mod-down NTTs and multiply-accumulates.
+        Costing the batch per-rotation over-prices BSGS regions by
+        nearly the full decomposition each step, which made the
+        optimizer's gates too timid about rotation-heavy plans.
         """
         if count <= 1:
             return self.op_seconds("rotate", limbs) * max(count, 0)
@@ -216,27 +218,19 @@ class CostModel:
     def function_cost(self, fn: Function) -> float:
         """Modeled seconds for a whole function, run in program order.
 
-        Rotations sharing one source ciphertext are costed as a batch at
-        a single shared digit decomposition
-        (:meth:`hoisted_rotation_seconds`) — per-rotation pricing
-        over-penalised BSGS regions and skewed every cost gate that
-        compares rotation-heavy candidates.  This is a pricing
-        convention, not what executes today: no compiled program
-        reaches ``ExactBackend.rotate_hoisted``, so every ``ckks.rotate``
-        still pays its own decomposition (ROADMAP, "Hoisted rotations in
-        the compiled path").
+        Each rotation group (:func:`repro.ir.schedule.rotation_groups`:
+        the rotations of one source value) is priced as one batch at a
+        single shared digit decomposition
+        (:meth:`hoisted_rotation_seconds`).  That is what executes: the
+        runtime decomposes a rotation source once and holds the
+        decomposition until the group's last rotation.
         """
-        total = 0.0
-        rotation_batches: dict[int, list[Op]] = {}
-        for op in fn.body:
-            if _KIND.get(op.opcode) == "rotate":
-                rotation_batches.setdefault(
-                    op.operands[0].id, []).append(op)
-            else:
-                total += self.op_cost(op)
-        for batch in rotation_batches.values():
-            limbs = self.limbs_of(batch[0].results[0])
-            total += self.hoisted_rotation_seconds(limbs, len(batch))
+        body = fn.body
+        total = sum(self.op_cost(op) for op in body
+                    if op.opcode not in ROTATIONS)
+        for group in rotation_groups(fn).values():
+            limbs = self.limbs_of(body[group[0]].results[0])
+            total += self.hoisted_rotation_seconds(limbs, len(group))
         return total
 
     # -- calibration ------------------------------------------------------

@@ -12,6 +12,12 @@ program: the input-independent ops (weight constants and their encodes)
 are issued by the first run and kept in a
 :class:`repro.runtime.executor.ConstPool`; each value is dropped as soon
 as its last consumer has run (the schedule's liveness refcounts).
+
+Rotations of one source share one key-switch decomposition: every
+``ckks.rotate`` but the last of its source's group is issued with
+``keep=True`` (``OpSchedule.keep_decomposition``), so the backend
+decomposes the source once and drops the decomposition at the group's
+last rotation — still exactly one ``backend.rotate`` call per op.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ def run_ckks_function(
             that tag in the backend trace (feeds Figure 6's breakdown).
     """
     env = prepare_env(fn, backend, inputs)
-    pool = const_pool(backend, module, fn, cached_schedule(fn))
+    schedule = cached_schedule(fn)
+    pool = const_pool(backend, module, fn, schedule)
     skip, live = pool.plan()
     tags = region_tags or {}
     for index, op in enumerate(fn.body):
@@ -71,7 +78,8 @@ def run_ckks_function(
             continue
         args = _values(env, pool, op.operands)
         tag = tags.get(index) or op.attrs.get("region")
-        result = _issue(module, op, args, backend, tag, check_plan)
+        result = _issue(module, op, args, backend, tag, check_plan,
+                        index in schedule.keep_decomposition)
         out = op.results[0].id
         env[out] = result
         if out in pool.pin:  # only a first run issues these
@@ -97,15 +105,19 @@ def _values(env, pool, values) -> list:
     return [env[v.id] if v.id in env else pinned[v.id] for v in values]
 
 
-def _issue(module: Module, op, args, be: HEBackend, tag, check_plan):
-    """Evaluate one op: the executor-level fault-injection point."""
+def _issue(module: Module, op, args, be: HEBackend, tag, check_plan,
+           keep: bool):
+    """Evaluate one op: the executor-level fault-injection point.
+
+    ``keep``: a later rotation reads this rotation's source
+    (``OpSchedule.keep_decomposition``)."""
     chaos.on_executor_op(op.opcode)
     trace = getattr(be, "trace", None)
     if trace is not None and tag:
         with trace.region(tag):
-            result = _eval(module, op, args, be)
+            result = _eval(module, op, args, be, keep)
     else:
-        result = _eval(module, op, args, be)
+        result = _eval(module, op, args, be, keep)
     if check_plan and op.results[0].meta.get("scale") is not None:
         _check(op, result, be)
     return result
@@ -130,12 +142,12 @@ def _check(op, result, be) -> None:
         )
 
 
-def _eval(module: Module, op, args, be: HEBackend):
+def _eval(module: Module, op, args, be: HEBackend, keep: bool):
     code = op.opcode
     if code.startswith("vector."):
         return eval_vector_op(module, op, args)
     if code == "ckks.rotate":
-        return be.rotate(args[0], op.attrs["steps"])
+        return be.rotate(args[0], op.attrs["steps"], keep=keep)
     if code == "ckks.conjugate":
         return be.conjugate(args[0])
     if code == "ckks.add":
