@@ -1,8 +1,9 @@
-"""Benchmark of the global level/bootstrap re-planning pipeline.
+"""Benchmark of refresh fitting: placement, targets and elimination.
 
 Bootstrapping is the most expensive operation in the system.  The
-lowering fits each refresh target to its region's measured need, and the
-post-optimizer replanner re-measures the optimized program.  This bench
+lowering fits each refresh target to its region's measured need, and
+that fitted lowering is the one refresh plan; CKKS-level CSE then
+removes refreshes that shared-weight branches duplicate.  This bench
 checks both on real prime chains (``exact_params``), where SIHE depth
 estimates are least reliable:
 
@@ -11,7 +12,7 @@ estimates are least reliable:
   lowering refreshes each branch independently; at ``--opt-level 2``
   whole-DAG CSE merges the towers *across refresh boundaries* (the
   ``hint``/``region`` diagnostic attrs no longer poison the CSE key)
-  and the re-planned program keeps a single, lower-targeted refresh.
+  and the optimized program keeps a single, lower-targeted refresh.
   Gates:
 
   - at least one ``ckks.bootstrap`` eliminated at opt 2 vs opt 0;
@@ -240,7 +241,6 @@ def bench_residual_replan(features: int, plain_layers: int) -> dict:
                               for level, p in programs.items()},
         "measured_needs": {key[level]: _measured_needs(p, moduli)
                            for level, p in programs.items()},
-        "replan_rounds": programs[2].stats["levels"].get("rounds_run", 0),
         "modeled_cost": {
             key[level]: p.stats["layout"]["predicted_seconds"]
             for level, p in programs.items()},

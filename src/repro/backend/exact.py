@@ -61,8 +61,8 @@ class ExactBackend(HEBackend):
         #: default BSGS split for the bootstrap DFT transforms; a
         #: per-op ``bsgs_giant`` attribute still wins over this
         self._bootstrap_bsgs_giant = bootstrap_bsgs_giant
-        #: one bootstrapper per (refresh target, BSGS split) — the level
-        #: replanner emits per-region targets and the layout autotuner
+        #: one bootstrapper per (refresh target, BSGS split) — the fitting
+        #: lowering emits per-region targets and the layout autotuner
         #: per-op splits, and rebuilding the linear transforms (and
         #: re-deriving their rotation keys) on every call would swamp
         #: the refresh itself

@@ -90,6 +90,13 @@ def _layout_summary_line(program) -> str | None:
     return line
 
 
+def _refresh_text(levels: dict) -> str:
+    """The final IR's refresh count and targets, from
+    ``program.stats['levels']``."""
+    return (f"refreshes: {levels.get('bootstraps', 0)}, targets "
+            f"{levels.get('targets', [])}")
+
+
 def _opt_summary_line(program) -> str:
     """One-line optimizer summary, e.g. for ``repro run`` logs."""
     opt = program.stats.get("opt", {})
@@ -103,18 +110,14 @@ def _opt_summary_line(program) -> str:
             f"{before} -> {after} (-{saved:.1f}%), ops "
             f"{opt['ops_before']} -> {opt['ops_after']}")
     levels = program.stats.get("levels", {})
-    if levels.get("enabled"):
-        line += (f"; replan: bootstraps "
-                 f"{levels.get('bootstraps_before', 0)} -> "
-                 f"{levels.get('bootstraps_after', 0)}, targets "
-                 f"{levels.get('targets_before', [])} -> "
-                 f"{levels.get('targets_after', [])}")
+    if levels.get("bootstraps"):
+        line += f"; {_refresh_text(levels)}"
     return line
 
 
 def _explain_table(program) -> str:
     """Per-pass op-delta table from ``program.stats['opt']``, followed by
-    the level-replanner's per-round deltas (``program.stats['levels']``)."""
+    the final IR's refreshes (``program.stats['levels']``)."""
     rows = program.stats.get("opt", {}).get("rows", [])
     if not rows:
         return "no optimizer passes ran (--opt-level 0)"
@@ -132,33 +135,7 @@ def _explain_table(program) -> str:
             f"{row.get('bootstraps_after', 0):<4} "
             f"{row.get('visited', 0):>8} {row.get('seconds', 0.0):>8.3f}"
         )
-    levels = program.stats.get("levels", {})
-    if levels.get("enabled"):
-        lines.append("")
-        lines.append(
-            f"level replan: {levels.get('rounds_run', 0)} round(s), "
-            f"bootstraps {levels.get('bootstraps_before', 0)} -> "
-            f"{levels.get('bootstraps_after', 0)}, targets "
-            f"{levels.get('targets_before', [])} -> "
-            f"{levels.get('targets_after', [])}, modeled cost "
-            f"{levels.get('cost_before', 0.0):.3f}s -> "
-            f"{levels.get('cost_after', 0.0):.3f}s"
-        )
-        for row in levels.get("rounds", []):
-            lines.append(
-                f"  round {row['round']}: proposal {row['proposal']}, "
-                f"ops {row['ops_before']} -> {row['ops_after']}, "
-                f"bootstraps {row['bootstraps_before']} -> "
-                f"{row['bootstraps_after']}, "
-                f"{'adopted' if row['adopted'] else 'rejected'}"
-            )
-        relin = levels.get("relin")
-        if relin:
-            lines.append(
-                f"  global relin placement: {relin['relins_before']} -> "
-                f"{relin['relins_after']} relins, "
-                f"{'adopted' if relin['adopted'] else 'kept peephole plan'}"
-            )
+    lines += ["", _refresh_text(program.stats.get("levels", {}))]
     return "\n".join(lines)
 
 
@@ -466,7 +443,8 @@ def main(argv=None) -> int:
                          help="TCP port (0 = pick a free one)")
     p_serve.add_argument("--batch-size", type=int, default=4,
                          help="max requests packed into one ciphertext")
-    p_serve.add_argument("--workers", type=int, default=2)
+    p_serve.add_argument("--workers", type=int, default=1,
+                         help="worker threads popping the request queue")
     p_serve.add_argument("--queue-size", type=int, default=64)
     p_serve.add_argument("--max-wait-ms", type=float, default=5.0,
                          help="batching linger before executing a partial "
@@ -499,7 +477,7 @@ def main(argv=None) -> int:
     p_router.add_argument("--port", type=int, default=7707,
                           help="TCP port (0 = pick a free one)")
     p_router.add_argument("--batch-size", type=int, default=4)
-    p_router.add_argument("--workers", type=int, default=2,
+    p_router.add_argument("--workers", type=int, default=1,
                           help="worker threads per shard")
     p_router.add_argument("--timeout-s", type=float, default=60.0)
     p_router.add_argument("--seed", type=int, default=7,

@@ -12,11 +12,11 @@ after the SIHE-level depth analysis; the driver therefore runs the front
 half provisionally and re-lowers once if the parameter selector picks a
 larger N (paper §4.4: N = max(N1, N2)).
 
-Every later decision is a proposal against one plan — a layout (§4.2)
-and per-hint refresh overrides (§4.4).  The layout search and the
-refresh planner only propose; :meth:`ACECompiler._lower` lowers each
-proposal and prices its final CKKS IR, and ``compile`` adopts it only
-when :func:`repro.passes.cost.cheaper` says so.
+A plan is a layout (§4.2).  :meth:`ACECompiler._lower` lowers it with
+the fitting lowering, which lands every refresh on its region's measured
+need (§4.4, :func:`repro.passes.levels.lower_to_ckks`), and prices its
+final CKKS IR.  The layout search only proposes: ``compile`` adopts its
+plan only when :func:`repro.passes.cost.cheaper` says so.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class CompiledProgram:
         The compiler hands the backend exactly the rotation keys the key
         analysis found (paper §4.4) unless overridden, and — when the
         *final* IR contains refresh ops — enables bootstrapping at the
-        highest replanned target, so eval/rotation keys always match
+        highest fitted target, so eval/rotation keys always match
         the program that actually executes.
         """
         if params.num_slots * 2 != self.scheme.poly_degree:
@@ -169,7 +169,7 @@ class CompiledProgram:
 
     @property
     def needs_bootstrap(self) -> bool:
-        """Whether the *final* (post-replan) IR still contains refreshes."""
+        """Whether the *final* (optimized) IR contains refreshes."""
         return bool(self.bootstrap_targets)
 
     @property
@@ -284,9 +284,9 @@ class ACECompiler:
         # the chain and the pricer every lowering of this compile targets
         self._scheme, self._moduli = self._build_scheme(
             slots, selection, front[1]["depth_analysis"])
-        pricer = self._pricer = CostModel(self._scheme.poly_degree,
-                                          self._scheme.num_special_primes)
-        # the initial plan: the given (or heuristic) layout, no hints
+        self._pricer = CostModel(self._scheme.poly_degree,
+                                 self._scheme.num_special_primes)
+        # the initial plan: the given (or heuristic) layout
         module, context, cost = self._lower(front)
         layout_stats: dict = {"mode": opts.layout_tune}
         if opts.layout_plan is not None:
@@ -308,86 +308,25 @@ class ACECompiler:
                 layout_stats["predicted_final_seconds"] = {
                     "heuristic": cost, "chosen": candidate[2]}
                 if cheaper(candidate[2], cost):
-                    front, (module, context, cost) = plan_front, candidate
+                    module, context, cost = candidate
                     layout_stats["adopted"] = True
-        levels_stats = None
-        if opts.opt_level >= 2:
-            levels_stats = {
-                "enabled": True, "rounds": [],
-                "bootstraps_before": bootstrap_count(module),
-                "targets_before": levels.bootstrap_targets(module.main()),
-                "cost_before": cost,
-            }
-            # refresh hints are proposed from the optimized IR only when
-            # refreshes are both enabled and minimally targeted (the
-            # ablation flag pins them to the full chain on purpose)
-            rounds = 3 if (opts.bootstrap_enabled
-                           and opts.minimal_level_bootstrap) else 0
-            hints: dict[int, dict] = {}
-            for round_no in range(1, rounds + 1):
-                with self._timers.measure("CKKS"):
-                    proposal = levels.plan_bootstraps(
-                        module.main(), pricer, len(self._moduli) - 1,
-                        self._moduli)[0]
-                merged = {**hints, **proposal}
-                if merged == hints:
-                    break
-                try:
-                    new_module, new_context, new_cost = self._lower(
-                        front, merged)
-                except LoweringError:
-                    break
-                row = {
-                    "round": round_no,
-                    "proposal": {
-                        h: ("skip" if d.get("skip") else d.get("target"))
-                        for h, d in merged.items()
-                    },
-                    "bootstraps_before": bootstrap_count(module),
-                    "bootstraps_after": bootstrap_count(new_module),
-                    "ops_before": module.main().op_count(),
-                    "ops_after": new_module.main().op_count(),
-                    "cost_before": cost,
-                    "cost_after": new_cost,
-                    "adopted": cheaper(new_cost, cost),
-                }
-                levels_stats["rounds"].append(row)
-                if not row["adopted"]:
-                    break
-                module, context, cost = new_module, new_context, new_cost
-                hints = merged
-                if (row["ops_after"] == row["ops_before"]
-                        and row["bootstraps_after"]
-                        == row["bootstraps_before"]):
-                    break  # the program is stable
-        # global relin placement, then the rotation-key working set and
-        # the wavefront/DAG schedule: properties of the *final* op list
+        # the rotation-key working set and the wavefront/DAG schedule:
+        # properties of the *final* op list
         pm = PassManager(timers=self._timers)
-        if levels_stats is not None:
-            pm.add(Pass(
-                "ckks-relin-placement", "CKKS",
-                lambda m, c: levels_stats.__setitem__(
-                    "relin", levels.replan_relins(m.main(), pricer)),
-                "whole-DAG relinearisation placement",
-            ))
         pm.add(Pass("rotation-key-analysis", "CKKS",
                     recompute_rotation_steps))
         pm.add(schedule_pass())
         pm.run(module, context)
-        final_cost = pricer.function_cost(module.main())
-        if levels_stats is not None:
-            levels_stats.update(
-                bootstraps_after=bootstrap_count(module),
-                targets_after=levels.bootstrap_targets(module.main()),
-                cost_after=final_cost,
-            )
         stats = {
             "ckks_ops": module.main().op_count(),
             "rotations": len(context["rotation_steps"]),
             "schedule": context["schedules"][module.main().name].describe(),
             "opt": summarize_opt_stats(context.get("opt_stats", []),
                                        opts.opt_level),
-            "levels": levels.summarize_levels_stats(levels_stats),
+            "levels": {
+                "bootstraps": bootstrap_count(module),
+                "targets": levels.bootstrap_targets(module.main()),
+            },
             # which NTT/RNS kernel backend executions will run on (the
             # process-global --kernel / REPRO_KERNEL selection)
             "kernel_backend": kernels.active_name(),
@@ -395,7 +334,7 @@ class ACECompiler:
         # predicted end-to-end seconds of the *final* CKKS IR; `repro
         # run` / the layout bench pair it with a measurement via
         # note_measured_seconds
-        layout_stats["predicted_seconds"] = final_cost
+        layout_stats["predicted_seconds"] = cost
         layout_stats["schedule_max_width"] = stats["schedule"].get(
             "max_width")
         stats["layout"] = layout_stats
@@ -580,15 +519,14 @@ class ACECompiler:
         module = levels.clone_module(nn)
         return module, pm.run(module, {})
 
-    def _lower(self, front, hints: dict[int, dict] | None = None):
-        """Lower one plan into the selected scheme: ``(module, context,
-        cost)``.
+    def _lower(self, front):
+        """Lower one layout's SIHE half (:meth:`_front`) into the
+        selected scheme: ``(module, context, cost)``.
 
-        A plan is a layout plus per-hint refresh overrides; ``front`` is
-        the layout's SIHE half (:meth:`_front`).  The CKKS lowering only
-        reads it, so every hint proposal for one layout shares it.
-        ``cost`` prices the optimized, verified CKKS IR.  Raises
-        ``LoweringError`` when no refresh target can fit the chain.
+        The fitting lowering places every refresh and the CKKS optimizer
+        moves the relins; ``cost`` prices the optimized, verified CKKS
+        IR.  Raises ``LoweringError`` when no refresh target can fit the
+        chain.
         """
         opts = self.options
         sihe, front_context = front
@@ -597,7 +535,7 @@ class ACECompiler:
 
         def to_ckks(m, ctx):
             ckks, ckks_ctx = levels.lower_to_ckks(
-                m, self._moduli, self._scheme.scale, opts, hints)
+                m, self._moduli, self._scheme.scale, opts)
             m.functions, m.constants, m.meta = (
                 ckks.functions, ckks.constants, ckks.meta)
             ctx.update(ckks_ctx)

@@ -2,10 +2,10 @@
 
 Compiles each evaluation model at ``--opt-level`` 0, 1 and 2 and charts
 what each tier buys: level 1 merges duplicate work (CSE, dedup, folds),
-level 2 adds the noise-path rewrites *and* the global level/bootstrap
-replanner — so the sweep shows key switches, refresh counts/targets and
-modeled latency moving together, the frontier the ROADMAP's carried-over
-item asked for.
+level 2 adds the noise-path rewrites (rotation composition, lazy
+relinearisation, rescale sinking) — so the sweep shows key switches,
+refresh counts/targets and modeled latency moving together, the frontier
+the ROADMAP's carried-over item asked for.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ refreshed level (§4.4) — with constants calibrated against the real
 :class:`ExactBackend` kernels.
 
 Every cost-aware decision of the compiler (the optimizer's gates, the
-level replanner, the layout search and its adoption) and the evaluation
-harness price through this module, so they are judged by one yardstick;
-it sits below ``repro.passes.opt`` and imports nothing above ``ir``.
+layout search and its adoption) and the evaluation harness price
+through this module, so they are judged by one yardstick; it sits below
+``repro.passes.opt`` and imports nothing above ``ir``.
 
 Absolute numbers depend on the host; the *relative* ACE-vs-Expert shape
 (Figure 6) comes from op counts, limb counts and bootstrap targets, which
@@ -33,8 +33,8 @@ from repro.ir.types import Cipher3Type
 
 #: opcode -> priced kind for the ``vector.*``, ``sihe.*`` and ``ckks.*``
 #: dialects; an opcode absent here is free.  ``ckks.mul`` is absent on
-#: purpose: pricing it moves the replanner's decisions and every
-#: recorded ``predicted_seconds``, so it waits for pricing from the POLY
+#: purpose: pricing it moves the optimizer's gates and every recorded
+#: ``predicted_seconds``, so it waits for pricing from the POLY
 #: expansion (ROADMAP item 10).
 _KIND = {
     "ckks.add": "add", "ckks.sub": "sub", "ckks.neg": "negate",
@@ -71,6 +71,17 @@ _calibration_memo: dict[tuple[int, int, int], "CostModel"] = {}
 _calibration_lock = threading.Lock()
 
 
+def key_switch_work(limbs: int, special_primes: int,
+                    count: int = 1) -> tuple[int, int]:
+    """``(NTTs, multiply-adds)`` of ``count`` digit-decomposed key
+    switches of one ciphertext at ``limbs`` limbs sharing one
+    decomposition: ``limbs`` digits, each NTT'd once at ``limbs +
+    special_primes`` residues, then per switch a two-part mod-down and
+    the multiply-accumulates against the key."""
+    digits, ext = limbs, limbs + special_primes
+    return digits * ext + count * 2 * ext, count * 2 * digits * ext
+
+
 def cheaper(new: float, old: float) -> bool:
     """The one adoption rule: ``new`` prices strictly below ``old``.
 
@@ -95,8 +106,8 @@ class CostModel:
     #: ``c_boot``: the ModRaise plus the CtS/EvalMod/StC stages run on
     #: the refresh's own depth of levels *above* the target whatever the
     #: target is, so most of a refresh's cost survives any retargeting —
-    #: which is exactly why *deleting* a refresh (the level replanner's
-    #: job) is worth so much more than lowering its target.
+    #: which is exactly why *deleting* a refresh (dead-refresh
+    #: elimination) is worth so much more than lowering its target.
     boot_base_limbs: float = 24.0
     #: fixed per-op dispatch overhead
     c_fixed: float = 2.0e-6
@@ -109,7 +120,6 @@ class CostModel:
         """Estimated single-thread seconds for one operation."""
         n = self.poly_degree
         unit = self._nlogn()
-        k = self.num_special_primes
         if op in ("add", "sub", "negate", "add_plain", "sub_plain",
                   "modswitch", "upscale"):
             return self.c_fixed + self.c_eltwise * n * limbs
@@ -117,17 +127,8 @@ class CostModel:
             parts = 4 if op == "mul" else 2
             return self.c_fixed + self.c_eltwise * n * limbs * parts
         if op in ("relin", "rotate", "conjugate"):
-            # digit-decomposed key switch: `limbs` digits, each an NTT at
-            # limbs+k residues plus multiply-accumulates
-            digits = limbs
-            ext = limbs + k
-            ntts = digits * ext + 2 * ext          # digit NTTs + mod-down
-            muladds = 2 * digits * ext
-            return (
-                self.c_fixed
-                + self.c_ntt * unit * ntts
-                + self.c_eltwise * n * muladds
-            )
+            # one digit-decomposed key switch: a hoisted batch of one
+            return self.hoisted_rotation_seconds(limbs, 1)
         if op == "rescale":
             return self.c_fixed + self.c_ntt * unit * 2 * limbs
         if op == "bootstrap":
@@ -153,19 +154,13 @@ class CostModel:
         nearly the full decomposition each step, which made the
         optimizer's gates too timid about rotation-heavy plans.
         """
-        if count <= 1:
-            return self.op_seconds("rotate", limbs) * max(count, 0)
-        n = self.poly_degree
-        unit = self._nlogn()
-        digits = limbs
-        ext = limbs + self.num_special_primes
-        ntts = digits * ext + count * 2 * ext   # one decomposition + mod-downs
-        muladds = count * 2 * digits * ext
-        return (
-            count * self.c_fixed
-            + self.c_ntt * unit * ntts
-            + self.c_eltwise * n * muladds
-        )
+        if count < 1:
+            return 0.0
+        ntts, muladds = key_switch_work(limbs, self.num_special_primes,
+                                        count)
+        return (count * self.c_fixed
+                + self.c_ntt * self._nlogn() * ntts
+                + self.c_eltwise * self.poly_degree * muladds)
 
     def trace_seconds(self, trace: OpTrace) -> dict[str, float]:
         """Seconds per region tag for a recorded trace."""
@@ -185,17 +180,13 @@ class CostModel:
         level = value.meta.get("level") if value.meta else None
         return (level + 1) if level is not None else DEFAULT_LIMBS
 
-    def op_cost(self, op: Op, limb_shift: int = 0) -> float:
-        """Estimated seconds for one op; ``limb_shift`` prices the same
-        op as if it ran that many levels higher on the chain (the level
-        replanner uses this to cost keeping a region deep instead of
-        refreshing)."""
+    def op_cost(self, op: Op) -> float:
+        """Estimated seconds for one op at its planned limb count."""
         kind = _KIND.get(op.opcode)
         if kind is None:
             return 0.0
         limbs = self.limbs_of(op.results[0]) if op.results \
             else DEFAULT_LIMBS
-        limbs = max(limbs + limb_shift, 1)
         if kind == "nonlinear":
             return _NONLINEAR_PAIRS * (
                 self.op_seconds("mul", limbs)
@@ -290,9 +281,7 @@ class CostModel:
         model = cls(poly_degree=poly_degree,
                     num_special_primes=num_special_primes)
         model.c_eltwise = max(t_mul / (sample_degree * limbs * 2), 1e-10)
-        digits = limbs
-        ext = limbs + 1
-        ntts = digits * ext + 2 * ext
+        ntts, _ = key_switch_work(limbs, 1)
         model.c_ntt = max(t_rot / (unit * ntts), 1e-11)
         model.c_boot = model.c_ntt * 30.0  # CtS+EvalMod+StC per level
         return model

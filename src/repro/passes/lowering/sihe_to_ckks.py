@@ -131,7 +131,7 @@ class SiheToCkksLowering:
     def __init__(self, moduli: list[float], scale: float,
                  bootstrap_enabled: bool = True,
                  minimal_level_bootstrap: bool = True,
-                 hint_plan: dict[int, dict] | None = None):
+                 targets: dict[int, int] | None = None):
         self.moduli = [float(q) for q in moduli]
         self.capacity = capacity_floors(self.moduli)
         self.scale = float(scale)
@@ -140,11 +140,10 @@ class SiheToCkksLowering:
         #: False = refresh to the full chain (the expert behaviour); the
         #: ablation benchmarks flip this to isolate §4.4's optimisation
         self.minimal_level_bootstrap = minimal_level_bootstrap
-        #: per-hint overrides: hint index -> {"skip": True} or
-        #: {"target": level}.  A target replaces the hint's SIHE depth
-        #: requirement; "skip" deletes the refresh because the remaining
-        #: budget covers its region.
-        self.hint_plan = dict(hint_plan or {})
+        #: per-hint refresh targets: hint index -> level, replacing the
+        #: hint's SIHE depth requirement (the fitting lowering raises a
+        #: short region's target to its measured need)
+        self.targets = dict(targets or {})
 
     # -- state helpers ----------------------------------------------------
 
@@ -357,9 +356,8 @@ class SiheToCkksLowering:
         hint = self._next_hint
         self._next_hint += 1
         requirement = analysis.hint_requirements.get(id(op), 0)
-        plan = self.hint_plan.get(hint)
-        # canonicalise *before* deciding skip/dead/emit: both the
-        # replanner's measured region needs and the analysis'
+        # canonicalise *before* deciding dead/emit: both the fitted
+        # targets (measured region needs) and the analysis'
         # ``hint_requirements`` are depths from a canonical-scale entry,
         # so the decision level must be the canonical one too.  An
         # off-waterline entry (the lazy policy legally parks Δ²-scale
@@ -374,13 +372,8 @@ class SiheToCkksLowering:
         row = {"hint": hint, "requirement": requirement, "status": "dead",
                "target": None, "level_in": level_in, "value": arg.id}
         self.hint_log.append(row)
-        if plan is not None and plan.get("skip"):
-            # the replanner measured that the remaining budget covers
-            # this region on the optimized DAG
-            row["status"] = "skipped"
-            return arg
-        if plan is not None and plan.get("target") is not None:
-            target = min(int(plan["target"]), self.max_level)
+        if hint in self.targets:
+            target = min(self.targets[hint], self.max_level)
         elif self.minimal_level_bootstrap:
             target = min(requirement, self.max_level)
         else:

@@ -91,7 +91,7 @@ def key_switch_count(module: Module) -> int:
 
 
 def bootstrap_count(module: Module) -> int:
-    """Refresh ops in the module — the replanner's headline number."""
+    """Refresh ops in the module."""
     return sum(fn.op_count("ckks.bootstrap")
                for fn in module.functions.values())
 
@@ -103,7 +103,7 @@ def _snapshot(module: Module) -> dict:
     when unannotated).  It alone is dishonest about bootstrap wins: it
     measures max-minus-min over *all* value levels, so a program
     entering at the chain top reports the same span whether its
-    refreshes re-raise to the top or to a replanned minimal target.
+    refreshes re-raise to the top or to a fitted minimal target.
     ``post_refresh_span`` therefore measures, when refreshes exist, from
     the highest ``target_level`` down to the lowest level reached — the
     depth the plan actually consumes after a refresh.

@@ -217,7 +217,7 @@ class ShardHandle:
 
     def __init__(self, index: int, host: str = "127.0.0.1",
                  pool_size: int = 4, timeout_s: float = 60.0,
-                 workers: int = 2, kernel: str | None = None):
+                 workers: int = 1, kernel: str | None = None):
         self.index = index
         self.host = host
         self.pool_size = pool_size
@@ -364,7 +364,7 @@ class RouterServer(FrameServer):
         request_timeout_s: float = 60.0,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
         pool_size: int = 4,
-        shard_workers: int = 2,
+        shard_workers: int = 1,
         shard_kernel: str | None = None,
     ):
         super().__init__(host, port, metrics, max_message_bytes)

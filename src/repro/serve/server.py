@@ -63,7 +63,7 @@ class InferenceServer(FrameServer):
         host: str = "127.0.0.1",
         port: int = 0,
         metrics: Metrics | None = None,
-        num_threads: int = 2,
+        num_threads: int = 1,
         queue_size: int = 64,
         max_wait_s: float = 0.005,
         request_timeout_s: float = 30.0,

@@ -108,7 +108,7 @@ class InferenceWorker:
     def __init__(
         self,
         metrics: Metrics | None = None,
-        num_threads: int = 2,
+        num_threads: int = 1,
         queue_size: int = 64,
         max_wait_s: float = 0.005,
         request_timeout_s: float = 30.0,

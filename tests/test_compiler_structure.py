@@ -5,7 +5,9 @@ NN -> VECTOR -> SIHE -> CKKS lowering is invoked from exactly one
 function — ``ACECompiler._front`` (the front half the layout search's
 ``price`` shares) or ``ACECompiler._lower`` — so a second copy of the
 pipeline growing back inside a search, a replanner or a pricing helper
-shows up here as a named caller instead of as two diverging copies.
+shows up here as a named caller instead of as two diverging copies.  The
+fitting lowering is the one refresh plan, so the names of the deleted
+post-optimization refresh and relin replanners must not return either.
 
 A compiled program likewise runs one way — in program order, on the
 calling thread — so the names of the deleted in-process op thread pool
@@ -27,10 +29,14 @@ STAGES = {
     "ckks-opt": "compiler/driver.py:ACECompiler._lower",
 }
 
-#: deleted second lowering paths, spelled in parts so that searching
-#: the tree for them finds only the changelog
+#: deleted second lowering paths and post-optimization replanners,
+#: spelled in parts so that searching the tree for them finds only the
+#: changelog
 GONE = ["_".join(parts) for parts in (
-    ("run", "level", "replan"), ("plan", "cost"), ("", "lower", "plan"))]
+    ("run", "level", "replan"), ("plan", "cost"), ("", "lower", "plan"),
+    ("plan", "bootstraps"), ("replan", "relins"), ("", "skip", "pays"),
+    ("", "region", "map"), ("", "global", "relin", "placement"),
+    ("summarize", "levels", "stats"), ("hint", "plan"))]
 
 #: deleted parallel-execution machinery
 GONE_EXECUTION = [

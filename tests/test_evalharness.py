@@ -112,8 +112,18 @@ def test_function_cost_ckks_reads_level_metadata():
         + cm.op_seconds("bootstrap", 10)
         + cm.hoisted_rotation_seconds(6, 2) + cm.op_seconds("rotate", 6),
         rel=1e-12)
-    # limb_shift prices the same op higher on the chain
-    assert cm.op_cost(add, limb_shift=3) == cm.op_seconds("add", 9)
+
+
+def test_single_key_switch_is_a_hoisted_batch_of_one():
+    # one formula prices a key switch and a hoisted batch: at count 1 it
+    # is the single-op price bit for bit
+    for special in (1, 3):
+        cm = CostModel(poly_degree=1 << 12, num_special_primes=special)
+        for limbs in range(1, 41):
+            single = cm.hoisted_rotation_seconds(limbs, 1)
+            assert cm.op_seconds("rotate", limbs) == single
+            assert cm.op_seconds("relin", limbs) == single
+            assert cm.op_seconds("conjugate", limbs) == single
 
 
 def test_memmodel_key_sizes(scheme):

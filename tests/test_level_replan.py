@@ -1,13 +1,14 @@
-"""Global level/bootstrap re-planning on optimized IR (repro.passes.levels).
+"""Level planning on CKKS IR (repro.passes.levels).
 
-Unit tests drive the analyses over hand-built CKKS DAGs (where every
-rescale/bootstrap position is known exactly); the end-to-end tests
-compile a bootstrap-deep ResNet-lite at every opt level and check the
-replanner's contract: no refresh target above its region's measured
-need, bounded fixpoint, and bit-identical decrypted outputs on the
-noiseless simulator.  The fitting lowering (``lower_to_ckks``) is checked
-on real prime chains: no slack, few lowerings on a chain that is too
-short, and an untouched SIHE input.
+Unit tests drive the ground-truth level analysis over hand-built CKKS
+DAGs (where every rescale/bootstrap position is known exactly); the
+end-to-end tests compile a bootstrap-deep ResNet-lite at every opt level
+and check the fitting lowering's contract: every refresh target is its
+region's measured need, ``program.stats["levels"]`` reads the final IR,
+and decrypted outputs are bit-identical on the noiseless simulator.  The
+fitting lowering (``lower_to_ckks``) is also checked on real prime
+chains: no slack, few lowerings on a chain that is too short, and an
+untouched SIHE input.
 """
 
 import re
@@ -26,17 +27,7 @@ from repro.ir.types import Cipher3Type, CipherType
 from repro.nn import model_to_onnx, resnet_mini
 from repro.onnx import load_model_bytes, model_to_bytes
 from repro.passes import levels
-from repro.passes.cost import CostModel
-from repro.passes.levels import (
-    _global_relin_placement,
-    _skip_pays,
-    bootstrap_targets,
-    clone_function,
-    consumed_need,
-    plan_bootstraps,
-    replan_relins,
-    summarize_levels_stats,
-)
+from repro.passes.levels import bootstrap_targets, clone_function, consumed_need
 from repro.passes.lowering.sihe_to_ckks import SiheToCkksLowering
 from repro.polymath import kernels
 
@@ -79,10 +70,6 @@ def _boot(fn, v, target, hint=0):
                  {"target_level": target, "region": "Bootstrap",
                   "hint": hint},
                  DELTA, target)
-
-
-def _table():
-    return CostModel(poly_degree=2 * SLOTS)
 
 
 # ---------------------------------------------------------------------------
@@ -128,111 +115,7 @@ class TestConsumedNeed:
 
 
 # ---------------------------------------------------------------------------
-# plan_bootstraps: skip / retarget / keep decisions
-# ---------------------------------------------------------------------------
-
-class TestPlanBootstraps:
-    def test_retargets_overprovisioned_refresh(self):
-        # lowering guessed target 10; the optimized region only needs 4
-        fn, x = _make_fn(3)
-        v = _boot(fn, x, target=10)
-        for _ in range(4):
-            v = _unit(fn, v)
-        fn.returns = [v]
-        plan, rows = plan_bootstraps(fn, _table(), max_level=10,
-                                     moduli=_moduli(10))
-        assert plan == {0: {"target": 4}}
-        assert rows[0]["decision"] == "retarget"
-        assert rows[0]["need"] == 4
-
-    def test_skips_refresh_whose_budget_covers_region(self):
-        # entering at level 10 with a 2-unit region: the refresh is dead
-        # weight and the cost gate agrees (six small ops vs one refresh)
-        fn, x = _make_fn(10)
-        v = _boot(fn, x, target=8)
-        for _ in range(2):
-            v = _unit(fn, v)
-        fn.returns = [v]
-        plan, rows = plan_bootstraps(fn, _table(), max_level=10,
-                                     moduli=_moduli(10))
-        assert plan == {0: {"skip": True}}
-        assert rows[0]["decision"] == "skip"
-
-    def test_keeps_already_minimal_placement(self):
-        fn, x = _make_fn(1)
-        v = _boot(fn, x, target=4)
-        for _ in range(4):
-            v = _unit(fn, v)
-        fn.returns = [v]
-        plan, rows = plan_bootstraps(fn, _table(), max_level=10,
-                                     moduli=_moduli(10))
-        assert plan == {}
-        assert rows[0]["decision"] == "keep"
-
-    def test_skip_gate_refuses_rotation_heavy_region(self):
-        # keeping hundreds of rotations 18 levels deeper costs more than
-        # the refresh it would delete; an empty region always pays
-        table = CostModel(poly_degree=2 ** 14)
-        fn, x = _make_fn(20)
-        _boot(fn, x, target=2)
-        boot_op = fn.body[0]
-        rotations = []
-        for _ in range(200):
-            r = Value(CipherType(SLOTS), "")
-            r.meta = {"scale": DELTA, "level": 2}
-            rotations.append(Op("ckks.rotate", [x], [r], {"steps": 1}))
-        assert not _skip_pays(table, boot_op, rotations, want=2, deeper=18)
-        assert _skip_pays(table, boot_op, [], want=2, deeper=18)
-
-
-# ---------------------------------------------------------------------------
-# whole-DAG relinearisation placement
-# ---------------------------------------------------------------------------
-
-class TestRelinPlacement:
-    def _add_tree_fn(self):
-        """Four distinct 3-part products folded by an add tree, each
-        eagerly relinearised the way a per-region lowering would."""
-        fn, x = _make_fn(6)
-        tips = []
-        for i in range(4):
-            rot = _emit(fn, "ckks.rotate", [x], {"steps": i + 1}, DELTA, 6)
-            prod = _emit(fn, "ckks.mul", [x, rot], {}, DELTA * DELTA, 6,
-                         Cipher3Type(SLOTS))
-            tips.append(_emit(fn, "ckks.relin", [prod], {},
-                              DELTA * DELTA, 6))
-        while len(tips) > 1:
-            tips = [
-                _emit(fn, "ckks.add", [tips[i], tips[i + 1]], {},
-                      DELTA * DELTA, 6)
-                for i in range(0, len(tips), 2)
-            ]
-        fn.returns = [tips[0]]
-        return fn
-
-    def test_merges_relins_across_add_tree(self):
-        fn = self._add_tree_fn()
-        assert fn.op_count("ckks.relin") == 4
-        inserted = _global_relin_placement(fn)
-        assert inserted == 1
-        assert fn.op_count("ckks.relin") == 1
-        assert isinstance(fn.returns[0].type, CipherType)
-        # adds were retyped to carry three parts up to the single relin
-        add_results = [op.results[0] for op in fn.body
-                       if op.opcode == "ckks.add"]
-        assert all(isinstance(r.type, Cipher3Type) for r in add_results)
-
-    def test_replan_relins_adopts_when_cheaper(self):
-        fn = self._add_tree_fn()
-        row = replan_relins(fn, _table())
-        assert row["adopted"]
-        assert row["relins_after"] == 1
-        assert row["cost_after"] < row["cost_before"]
-        assert fn.op_count("ckks.relin") == 1
-
-
-# ---------------------------------------------------------------------------
-# cloning and stats plumbing
+# cloning
 # ---------------------------------------------------------------------------
 
 def test_clone_function_is_deep():
@@ -245,18 +128,6 @@ def test_clone_function_is_deep():
     assert fn.body[0].attrs["region"] == "ReLU"
     assert fn.body[0].results[0].meta["level"] == 6
     assert all(a.id != b.id for a, b in zip(fn.params, copy.params))
-
-
-def test_summarize_levels_stats_disabled_and_deltas():
-    assert summarize_levels_stats(None) == {"enabled": False}
-    out = summarize_levels_stats({
-        "enabled": True, "rounds": [{}, {}],
-        "bootstraps_before": 4, "bootstraps_after": 3,
-        "cost_before": 10.0, "cost_after": 8.0,
-    })
-    assert out["rounds_run"] == 2
-    assert out["bootstraps_removed"] == 1
-    assert out["cost_reduction"] == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,21 +174,17 @@ class TestReplanEndToEnd:
     def test_fixpoint_bounded_and_targets_fitted(self, programs):
         _, p0 = programs[0]
         _, p2 = programs[2]
-        stats = p2.stats["levels"]
-        assert stats["enabled"]
-        assert stats["rounds_run"] <= 3
-        assert stats["cost_after"] <= stats["cost_before"]
-        before, after = stats["targets_before"], stats["targets_after"]
-        assert len(after) <= len(before)
-        assert after and not _slack(p2)
-        assert bootstrap_targets(p2.module.main()) == after
-        # the replanner only ever shrinks the refresh budget vs opt 0
+        targets = p2.stats["levels"]["targets"]
+        assert targets and not _slack(p2)
+        assert bootstrap_targets(p2.module.main()) == targets
+        # the optimizer only ever shrinks the refresh budget vs opt 0
         assert max(p2.bootstrap_targets) <= max(p0.bootstrap_targets)
 
-    def test_replanner_off_below_opt2(self, programs):
-        for level in (0, 1):
-            _, program = programs[level]
-            assert program.stats["levels"] == {"enabled": False}
+    def test_levels_stats_read_the_final_ir(self, programs):
+        for _, program in programs.values():
+            targets = bootstrap_targets(program.module.main())
+            assert program.stats["levels"] == {
+                "bootstraps": len(targets), "targets": targets}
 
     def test_outputs_bit_identical_across_opt_levels(self, programs):
         rng = np.random.default_rng(0)
@@ -334,7 +201,7 @@ class TestReplanEndToEnd:
         assert outs[2].argmax() == ref.argmax()
 
     def test_env_kernel_selection(self, programs, monkeypatch):
-        # the replanned program under the kernel backend the CI matrix
+        # the opt-2 program under the kernel backend the CI matrix
         # exercises: the numba kernels when available
         _, program = programs[2]
         rng = np.random.default_rng(2)
@@ -370,7 +237,7 @@ def _residual():
                                    "resnet_mini_search"])
 def test_no_refresh_has_slack(model, opt_level, programs):
     """Every refresh targets exactly its region's measured need — also
-    when the layout search and the refresh rounds both propose."""
+    when the layout search proposes a plan."""
     if model == "resnet_mini":
         program = programs[opt_level][1]
     elif model == "resnet_mini_search":

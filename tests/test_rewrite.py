@@ -310,6 +310,8 @@ def test_use_index_tracks_any_edit_sequence(seed, edits):
     model = list(fn.body)  # the body a plain list would hold
     values = list(fn.params) + [r for op in fn.body for r in op.results]
     for _ in range(edits):
+        if not model:
+            break  # every op was erased: no anchor is left for an edit
         kind = rng.choice(["insert", "replace", "erase"])
         anchor = rng.choice(model)
         if kind == "insert":
