@@ -152,9 +152,7 @@ def _compile_pair(model, params):
 
 def _sim_identical(model, image) -> bool:
     """Bit-identity of decrypted outputs across opt levels, checked on
-    the synthetic-scheme compile of the same model (exact-params
-    programs are scheduled against real primes and cannot replay on the
-    power-of-two simulator moduli)."""
+    the synthetic-scheme compile of the same model."""
     outs = {}
     for level in (0, 2):
         program = ACECompiler(model, CompileOptions(
@@ -213,10 +211,10 @@ def bench_siamese_towers(features: int, tower_layers: int,
     }
 
 
-def _measured_needs(program, moduli) -> list[int]:
+def _measured_needs(program) -> list[int]:
     """``consumed_need`` of each refresh's result, in body order."""
     fn = program.module.main()
-    need = consumed_need(fn, moduli)
+    need = consumed_need(fn, program.scheme.moduli)
     return [need.get(op.result.id, 0) for op in fn.body
             if op.opcode == "ckks.bootstrap"]
 
@@ -230,7 +228,6 @@ def bench_residual_replan(features: int, plain_layers: int) -> dict:
     rng = np.random.default_rng(2)
     image = rng.normal(size=(1, features)) * 0.5
     sim_identical = _sim_identical(model, image)
-    moduli = [float(q) for q in params.moduli]
     key = {0: "opt0", 2: "opt2"}
     return {
         "model": "residual-replan",
@@ -239,7 +236,7 @@ def bench_residual_replan(features: int, plain_layers: int) -> dict:
         "num_levels": params.num_levels,
         "bootstrap_targets": {key[level]: p.bootstrap_targets
                               for level, p in programs.items()},
-        "measured_needs": {key[level]: _measured_needs(p, moduli)
+        "measured_needs": {key[level]: _measured_needs(p)
                            for level, p in programs.items()},
         "modeled_cost": {
             key[level]: p.stats["layout"]["predicted_seconds"]

@@ -49,14 +49,7 @@ class ExactBackend(HEBackend):
             )
         self.ev = self.ctx.evaluator
         self.trace = OpTrace()
-        self.config = SchemeConfig(
-            poly_degree=params.poly_degree,
-            scale_bits=params.scale_bits,
-            first_prime_bits=params.first_prime_bits,
-            num_levels=params.num_levels,
-            num_special_primes=params.num_special_primes,
-            secret_hamming_weight=params.secret_hamming_weight,
-        )
+        self.config = SchemeConfig.from_params(params)
         self._bootstrapper: Bootstrapper | None = None
         #: default BSGS split for the bootstrap DFT transforms; a
         #: per-op ``bsgs_giant`` attribute still wins over this
@@ -196,6 +189,3 @@ class ExactBackend(HEBackend):
 
     def scale_of(self, a) -> float:
         return float(a.scale)
-
-    def prime_at(self, level: int) -> float:
-        return float(self.params.moduli[level])

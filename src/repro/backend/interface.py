@@ -12,14 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import LevelMismatchError, ParameterError
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme-shape description shared by both backends.
+    """The scheme a program is planned on and runs on.
 
-    Unlike :class:`repro.ckks.params.CkksParameters` this carries no
-    executable constraints: a :class:`SimBackend` may use the paper's
-    N = 2^16 with 56-bit scale primes.
+    ``moduli`` is the ciphertext chain q_0 .. q_L: a rescale from level
+    ``l`` divides by ``moduli[l]`` on every backend (:meth:`HEBackend.
+    prime_at`), so a compiled program meets its planned scales on any of
+    them.  Left empty it is the power-of-two chain ``[2^first_prime_bits]
+    + [2^scale_bits] * num_levels``, which has no executable constraints
+    (a :class:`SimBackend` may use the paper's N = 2^16 with 56-bit
+    primes); :meth:`from_params` takes an executable parameter set's.
     """
 
     poly_degree: int
@@ -28,6 +34,30 @@ class SchemeConfig:
     num_levels: int
     num_special_primes: int = 1
     secret_hamming_weight: int | None = None
+    moduli: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        chain = tuple(float(q) for q in self.moduli) or (
+            (float(2**self.first_prime_bits),)
+            + (float(2**self.scale_bits),) * self.num_levels)
+        if len(chain) != self.num_levels + 1:
+            raise ParameterError(
+                f"a {self.num_levels}-level scheme needs "
+                f"{self.num_levels + 1} moduli, got {len(chain)}")
+        object.__setattr__(self, "moduli", chain)
+
+    @classmethod
+    def from_params(cls, params) -> "SchemeConfig":
+        """The scheme of a :class:`~repro.ckks.params.CkksParameters`."""
+        return cls(
+            poly_degree=params.poly_degree,
+            scale_bits=params.scale_bits,
+            first_prime_bits=params.first_prime_bits,
+            num_levels=params.num_levels,
+            num_special_primes=params.num_special_primes,
+            secret_hamming_weight=params.secret_hamming_weight,
+            moduli=tuple(params.moduli),
+        )
 
     @property
     def num_slots(self) -> int:
@@ -40,15 +70,6 @@ class SchemeConfig:
     @property
     def max_level(self) -> int:
         return self.num_levels
-
-    def limb_count(self, level: int) -> int:
-        return level + 1
-
-    def log_q(self) -> int:
-        return self.first_prime_bits + self.num_levels * self.scale_bits
-
-    def log_qp(self) -> int:
-        return self.log_q() + self.num_special_primes * self.first_prime_bits
 
 
 class HEBackend(ABC):
@@ -153,21 +174,19 @@ class HEBackend(ABC):
     def scale_of(self, a) -> float:
         ...
 
-    @abstractmethod
     def prime_at(self, level: int) -> float:
-        """The modulus consumed when rescaling *from* ``level``.
+        """The prime a rescale *from* ``level`` divides by.
 
-        The compiler's scale-management pass plans exact runtime scales
-        with this chain, so compiled programs match scales bit-for-bit on
-        any backend.
+        It is ``config.moduli[level]``, the chain the compiler planned
+        every runtime scale with, so a compiled program meets its planned
+        scales bit-for-bit on any backend.
         """
+        return self.config.moduli[level]
 
     def mod_switch_to(self, a, level: int):
         """Drop limbs until the handle sits at ``level``."""
         current = self.level_of(a)
         if level > current:
-            from repro.errors import LevelMismatchError
-
             raise LevelMismatchError(
                 f"cannot raise level {current} -> {level} without bootstrap"
             )

@@ -2,7 +2,9 @@
 
 ``SimBackend`` executes compiled programs on cleartext numpy vectors while
 enforcing *exactly* the same scale/level discipline as the real evaluator
-(mismatched scales or levels raise the same exceptions) and injecting
+(mismatched scales or levels raise the same exceptions; a rescale divides
+by the scheme's own chain, ``config.moduli``, so a program compiled
+against real primes meets its planned scales here too) and injecting
 noise calibrated to CKKS behaviour:
 
 * fresh encryption noise ~ sqrt(N) * sigma / scale,
@@ -84,10 +86,6 @@ class SimBackend(HEBackend):
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.trace = OpTrace()
-        # Synthetic modulus chain: powers of two make scale management exact.
-        self.moduli = [float(2**config.first_prime_bits)] + [
-            float(2**config.scale_bits)
-        ] * config.num_levels
         n = config.poly_degree
         self._fresh_noise = math.sqrt(n) * 3.2 / config.scale
         self._round_noise = math.sqrt(n / 12.0)
@@ -181,7 +179,7 @@ class SimBackend(HEBackend):
         from repro.ckks.noise import remaining_depth
 
         capacity_bits = sum(
-            math.log2(self.moduli[lvl]) for lvl in range(a.level + 1)
+            math.log2(q) for q in self.config.moduli[: a.level + 1]
         )
         product_bits = math.log2(a.scale) + math.log2(b.scale)
         if product_bits >= capacity_bits:
@@ -318,7 +316,7 @@ class SimBackend(HEBackend):
                 "no levels left to rescale; bootstrap required"
             )
         self._rec("rescale", a.level)
-        prime = self.moduli[a.level]
+        prime = self.prime_at(a.level)
         new_scale = a.scale / prime
         if new_scale < 1.0:
             raise NoiseBudgetExhausted(
@@ -392,6 +390,3 @@ class SimBackend(HEBackend):
 
     def scale_of(self, a) -> float:
         return float(a.scale)
-
-    def prime_at(self, level: int) -> float:
-        return self.moduli[level]

@@ -91,8 +91,8 @@ class CompileOptions:
     level_margin: int = 2
     #: lower to POLY IR: "off", "stats", or "full"
     poly_mode: str = "stats"
-    #: compile against a concrete executable parameter set (exact backend);
-    #: scales/levels are then planned with its real prime chain
+    #: compile against a concrete executable parameter set: its ring and
+    #: prime chain are the scheme, vouched for by its own ``security_bits``
     exact_params: object | None = None
     #: representative inputs for range calibration: per-ReLU activation
     #: bounds are measured on these (CHET-style data-driven tuning)
@@ -142,7 +142,8 @@ class CompiledProgram:
         return SimBackend(self.scheme, **kwargs)
 
     def make_exact_backend(self, params, **kwargs) -> ExactBackend:
-        """An exact backend; ``params`` must match the compiled slot count.
+        """An exact backend; ``params`` must have the compiled ring
+        degree and modulus chain (every planned scale divides by it).
 
         The compiler hands the backend exactly the rotation keys the key
         analysis found (paper §4.4) unless overridden, and — when the
@@ -150,10 +151,11 @@ class CompiledProgram:
         highest fitted target, so eval/rotation keys always match
         the program that actually executes.
         """
-        if params.num_slots * 2 != self.scheme.poly_degree:
+        if SchemeConfig.from_params(params) != self.scheme:
             raise CompileError(
-                f"params have {params.num_slots} slots; program was "
-                f"compiled for {self.scheme.num_slots}"
+                f"params (N={params.poly_degree}, {params.num_levels} "
+                f"levels) are not the scheme the program was compiled for "
+                f"(N={self.scheme.poly_degree}, {self.scheme.num_levels})"
             )
         kwargs.setdefault("rotation_steps", self.rotation_steps)
         targets = [t for t in self.bootstrap_targets if t is not None]
@@ -280,10 +282,10 @@ class ACECompiler:
             )
         self._timers = TimerRegistry()
         nn = self._import()
-        slots, selection, front = self._select_parameters(nn)
-        # the chain and the pricer every lowering of this compile targets
-        self._scheme, self._moduli = self._build_scheme(
-            slots, selection, front[1]["depth_analysis"])
+        # the scheme, chain included, and the pricer every lowering of
+        # this compile targets
+        selection, self._scheme, front = self._select_parameters(nn)
+        slots = self._scheme.num_slots
         self._pricer = CostModel(self._scheme.poly_degree,
                                  self._scheme.num_special_primes)
         # the initial plan: the given (or heuristic) layout
@@ -295,7 +297,7 @@ class ACECompiler:
             # the search ranks layouts at the VECTOR level (fixed limbs,
             # no refreshes), so its argmin is priced again on its final
             # CKKS IR like every other proposal
-            result = self._search_plan(nn, slots, selection)
+            result = self._search_plan(nn, slots)
             layout_stats.update(result.info, adopted=False)
             candidate = None
             if len(result.plan):
@@ -375,14 +377,15 @@ class ACECompiler:
 
     def _select_parameters(self, nn: Module):
         """Front-lower the given (or heuristic) layout at a provisional
-        slot count and select security parameters, re-lowering while the
-        activations or the selected ring need more slots (see the module
-        docstring).  Returns ``(slots, selection, front)``."""
+        slot count and select the scheme for the chain it needs,
+        re-lowering while the activations or the selected ring need more
+        slots (see the module docstring).  Returns ``(selection, scheme,
+        front)``.  Given ``exact_params`` nothing is selected: they are
+        the scheme, and the program must fit their slots and chain."""
         opts = self.options
-        given = (opts.exact_params.num_slots
-                 if opts.exact_params is not None else None)
-        slots = given or opts.slots or (
-            opts.batch_size * self._minimum_slots())
+        params = opts.exact_params
+        slots = (params.num_slots if params is not None
+                 else opts.slots or opts.batch_size * self._minimum_slots())
         for _attempt in range(16):
             try:
                 front = self._front(nn, slots, opts.layout_plan)
@@ -390,69 +393,49 @@ class ACECompiler:
                 # activations did not fit the provisional slot count
                 slots *= 2
                 continue
-            if given is not None and slots > given:
-                raise CompileError(
-                    f"the model needs {slots} slots but the exact "
-                    f"parameters give {given}"
-                )
+            analysis = front[1]["depth_analysis"]
+            # without bootstrapping the chain must cover the whole program
+            needed = opts.level_margin + (
+                analysis.max_depth if opts.bootstrap_enabled
+                else max(analysis.input_requirement
+                         + sum(analysis.hint_requirements.values()),
+                         analysis.max_depth)
+            )
+            if params is not None:
+                if slots > params.num_slots or needed > params.num_levels:
+                    raise CompileError(
+                        f"the model needs {slots} slots and {needed} "
+                        f"levels but the exact parameters give "
+                        f"{params.num_slots} and {params.num_levels}"
+                    )
+                return (SelectedParameters.given(params, slots),
+                        SchemeConfig.from_params(params), front)
             selection = ParameterSelector(opts.security_bits).select(
-                depth=front[1]["depth_analysis"].max_depth
-                + opts.level_margin,
+                depth=needed,
                 simd_width=slots,
                 log_scale=opts.log_scale,
                 log_q0=opts.log_q0,
             )
-            required_slots = selection.degree // 2
-            if given is not None or required_slots <= slots:
-                return slots, selection, front
-            slots = required_slots
+            if selection.degree <= 2 * slots:
+                return selection, SchemeConfig(
+                    poly_degree=2 * slots,
+                    scale_bits=opts.log_scale,
+                    first_prime_bits=opts.log_q0,
+                    num_levels=needed,
+                    num_special_primes=selection.num_special_primes,
+                ), front
+            slots = selection.degree // 2
         raise CompileError("parameter selection did not converge")
 
-    def _build_scheme(self, slots, selection, analysis: DepthAnalysis):
-        """The scheme shape and modulus chain every lowering targets."""
-        opts = self.options
-        # without bootstrapping the chain must cover the whole program
-        needed = opts.level_margin + (
-            analysis.max_depth if opts.bootstrap_enabled
-            else max(analysis.input_requirement
-                     + sum(analysis.hint_requirements.values()),
-                     analysis.max_depth)
-        )
-        params = opts.exact_params
-        if params is None:
-            scheme = SchemeConfig(
-                poly_degree=2 * slots,
-                scale_bits=opts.log_scale,
-                first_prime_bits=opts.log_q0,
-                num_levels=needed,
-                num_special_primes=selection.num_special_primes,
-            )
-            return scheme, [float(2**opts.log_q0)] + [
-                float(2**opts.log_scale)] * needed
-        if params.num_levels < needed:
-            raise CompileError(
-                f"exact parameters provide {params.num_levels} levels "
-                f"but the program needs {needed}"
-            )
-        scheme = SchemeConfig(
-            poly_degree=params.poly_degree,
-            scale_bits=params.scale_bits,
-            first_prime_bits=params.first_prime_bits,
-            num_levels=params.num_levels,
-            num_special_primes=params.num_special_primes,
-            secret_hamming_weight=params.secret_hamming_weight,
-        )
-        return scheme, [float(q) for q in params.moduli]
-
-    def _search_plan(self, nn: Module, slots: int, selection):
+    def _search_plan(self, nn: Module, slots: int):
         """Propose a layout: search per-layer packings, pricing each
         candidate on this compiler's own front half stopped after the
         vector optimizer (cleartext numpy — a candidate costs
         milliseconds, not a compile) with a calibrated pricer; returns
         the argmin plan and the search's stats."""
         model = CostModel.calibrated(
-            poly_degree=2 * slots,
-            num_special_primes=max(1, selection.num_special_primes),
+            poly_degree=self._scheme.poly_degree,
+            num_special_primes=self._scheme.num_special_primes,
         )
 
         def price(layout) -> float:
@@ -535,7 +518,7 @@ class ACECompiler:
 
         def to_ckks(m, ctx):
             ckks, ckks_ctx = levels.lower_to_ckks(
-                m, self._moduli, self._scheme.scale, opts)
+                m, self._scheme.moduli, self._scheme.scale, opts)
             m.functions, m.constants, m.meta = (
                 ckks.functions, ckks.constants, ckks.meta)
             ctx.update(ckks_ctx)

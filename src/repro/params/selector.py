@@ -40,6 +40,17 @@ class SelectedParameters:
     security_bits: int
     simd_width: int
 
+    @classmethod
+    def given(cls, params, simd_width: int) -> "SelectedParameters":
+        """A given :class:`~repro.ckks.params.CkksParameters`, which
+        its own ``security_bits`` vouches for, as a selection."""
+        return cls(log_n=params.poly_degree.bit_length() - 1,
+                   log_q0=params.first_prime_bits,
+                   log_scale=params.scale_bits, depth=params.num_levels,
+                   num_special_primes=params.num_special_primes,
+                   security_bits=params.security_bits,
+                   simd_width=simd_width)
+
     @property
     def degree(self) -> int:
         return 1 << self.log_n

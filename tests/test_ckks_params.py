@@ -49,9 +49,18 @@ def test_scheme_config_helpers():
                           first_prime_bits=60, num_levels=20)
     assert config.num_slots == 1 << 13
     assert config.scale == float(2**56)
-    assert config.limb_count(0) == 1
-    assert config.log_q() == 60 + 20 * 56
-    assert config.log_qp() == config.log_q() + 60
+    assert config.moduli == (2.0**60,) + (2.0**56,) * 20
+
+
+def test_scheme_config_carries_one_chain():
+    params = CkksParameters(poly_degree=64, scale_bits=30,
+                            first_prime_bits=40, num_levels=3)
+    config = SchemeConfig.from_params(params)
+    assert config.moduli == tuple(float(q) for q in params.moduli)
+    assert config.num_levels == 3 and config.poly_degree == 64
+    with pytest.raises(ParameterError):
+        SchemeConfig(poly_degree=64, scale_bits=30, first_prime_bits=40,
+                     num_levels=2, moduli=config.moduli)
 
 
 def test_key_memory_accounting():

@@ -200,3 +200,17 @@ def test_exact_params_level_check(gemv_model):
             gemv_model,
             CompileOptions(exact_params=params, bootstrap_enabled=False),
         ).compile()
+
+
+def test_exact_backend_needs_the_compiled_chain(gemv_model):
+    """Every planned scale divides by the compiled chain, so a backend
+    on any other chain is refused, even at the same ring degree."""
+    params = CkksParameters(poly_degree=256, scale_bits=30,
+                            first_prime_bits=40, num_levels=4)
+    program = ACECompiler(gemv_model, CompileOptions(
+        exact_params=params, bootstrap_enabled=False,
+        poly_mode="off")).compile()
+    longer = CkksParameters(poly_degree=256, scale_bits=30,
+                            first_prime_bits=40, num_levels=5)
+    with pytest.raises(CompileError):
+        program.make_exact_backend(longer, seed=0)

@@ -9,6 +9,10 @@ shows up here as a named caller instead of as two diverging copies.  The
 fitting lowering is the one refresh plan, so the names of the deleted
 post-optimization refresh and relin replanners must not return either.
 
+The modulus chain lives in ``SchemeConfig``: it alone derives a
+power-of-two chain from the prime widths, and ``HEBackend.prime_at`` is
+the one reader of it every backend shares.
+
 A compiled program likewise runs one way — in program order, on the
 calling thread — so the names of the deleted in-process op thread pool
 (its job and memory budgets, width cap and watchdog) must not return.
@@ -105,3 +109,35 @@ def test_deleted_execution_paths_stay_deleted():
         if name in path.read_text() and rel not in ALLOWED.get(name, ())
     ]
     assert not offences, "\n".join(offences)
+
+
+def _builds_power_of_two_chain(node) -> bool:
+    """``2 ** <...first_prime_bits>`` / ``1 << <...log_q0>``: the first
+    link of a synthetic chain."""
+    if not isinstance(node, ast.BinOp) or not isinstance(
+            node.left, ast.Constant):
+        return False
+    if not ((isinstance(node.op, ast.Pow) and node.left.value == 2)
+            or (isinstance(node.op, ast.LShift) and node.left.value == 1)):
+        return False
+    width = ast.unparse(node.right)
+    return "first_prime_bits" in width or "log_q0" in width
+
+
+def test_one_modulus_chain():
+    readers, builders = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, fn in _functions(tree):
+            if fn.name == "prime_at":
+                readers.add(f"{rel}:{qualname}")
+        for qualname, fn in [("<module>", tree), *_functions(tree)]:
+            nodes = ast.walk(fn) if fn is not tree else (
+                child for stmt in tree.body
+                if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                for child in ast.walk(stmt))
+            if any(_builds_power_of_two_chain(n) for n in nodes):
+                builders.add(f"{rel}:{qualname}")
+    assert readers == {"backend/interface.py:HEBackend.prime_at"}
+    assert builders == {"backend/interface.py:SchemeConfig.__post_init__"}

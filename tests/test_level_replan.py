@@ -152,12 +152,7 @@ def programs():
 
 def _chain(program) -> list[float]:
     """The modulus chain the program was lowered against."""
-    params = program.options.exact_params
-    if params is not None:
-        return [float(q) for q in params.moduli]
-    scheme = program.scheme
-    return ([2.0 ** scheme.first_prime_bits]
-            + [2.0 ** scheme.scale_bits] * scheme.num_levels)
+    return list(program.scheme.moduli)
 
 
 def _slack(program) -> list[tuple[int, int]]:
