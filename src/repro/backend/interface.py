@@ -140,13 +140,8 @@ class HEBackend(ABC):
         ...
 
     @abstractmethod
-    def bootstrap(self, a, target_level: int | None = None,
-                  bsgs_giant: int | None = None):
-        """Refresh ``a`` to ``target_level``.
-
-        ``bsgs_giant`` optionally tunes the BSGS split of the bootstrap
-        DFT transforms (simulation backends may ignore it).
-        """
+    def bootstrap(self, a, target_level: int | None = None):
+        """Refresh ``a`` to ``target_level``."""
 
     # -- slot manipulation -----------------------------------------------
 

@@ -344,9 +344,7 @@ class SimBackend(HEBackend):
             a.size, a.slots_in_use,
         )
 
-    def bootstrap(self, a, target_level=None, bsgs_giant=None):
-        # bsgs_giant tunes the real DFT transforms; the simulation has
-        # none, so the split is accepted and ignored
+    def bootstrap(self, a, target_level=None):
         if a.size != 2:
             raise ParameterError("relinearise before bootstrapping")
         target = (

@@ -48,13 +48,7 @@ class Bootstrapper:
         ev: CkksEvaluator,
         taylor_degree: int = 7,
         target_level: int | None = None,
-        bsgs_giant: int | None = None,
     ):
-        """``bsgs_giant`` overrides the BSGS baby split of all four DFT
-        transforms (must divide the slot count); None keeps the classic
-        ``sqrt(slots)`` balance.  With hoisted baby steps the optimum
-        shifts baby-heavy — the layout autotuner threads its tuned split
-        through here instead of mutating a module-level default."""
         self.ev = ev
         params = ev.params
         n = params.poly_degree
@@ -80,14 +74,11 @@ class Bootstrapper:
         # CoeffToSlot halves (1/q0 is folded into the EvalMod argument
         # constant instead — 1/(N*q0) here would underflow the plaintext
         # encoding):
-        self.bsgs_giant = bsgs_giant
-        self._cts_low = LinearTransform(u_h[:slots, :] / n, giant=bsgs_giant)
-        self._cts_high = LinearTransform(u_h[slots:, :] / n, giant=bsgs_giant)
+        self._cts_low = LinearTransform(u_h[:slots, :] / n)
+        self._cts_high = LinearTransform(u_h[slots:, :] / n)
         # SlotToCoeff halves: z = U_left @ m_low + U_right @ m_high
-        self._stc_left = LinearTransform(u_matrix[:, :slots],
-                                         giant=bsgs_giant)
-        self._stc_right = LinearTransform(u_matrix[:, slots:],
-                                          giant=bsgs_giant)
+        self._stc_left = LinearTransform(u_matrix[:, :slots])
+        self._stc_right = LinearTransform(u_matrix[:, slots:])
         self.depth = self._total_depth()
         max_target = params.max_level - self.depth
         if max_target < 1:

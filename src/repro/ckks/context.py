@@ -134,19 +134,17 @@ class CkksContext:
         return self.keys.byte_size()
 
     def make_bootstrapper(self, taylor_degree: int = 7,
-                          target_level: int | None = None,
-                          bsgs_giant: int | None = None):
+                          target_level: int | None = None):
         """Build a :class:`Bootstrapper`, generating the keys it needs.
 
-        ``bsgs_giant`` tunes the BSGS split of the four DFT transforms;
-        the rotation keys for whatever split is chosen are generated
-        here, so a tuned bootstrapper never falls back to composed
-        rotations.
+        The exact rotation keys of its four DFT transforms and the
+        conjugation key are generated here, so a context built from
+        shipped evaluation keys (which cannot mint keys) raises
+        :class:`~repro.errors.KeyError_`.
         """
         from repro.ckks.bootstrap import Bootstrapper
 
-        bs = Bootstrapper(self.evaluator, taylor_degree, target_level,
-                          bsgs_giant=bsgs_giant)
+        bs = Bootstrapper(self.evaluator, taylor_degree, target_level)
         self.add_rotation_keys(bs.required_rotations())
         if self.keys.conjugation is None:
             self.keys.conjugation = self._keygen.gen_conjugation_key(

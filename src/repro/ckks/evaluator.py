@@ -14,15 +14,19 @@ expensive half can be shared:
   every digit and limb in one numpy pass);
 * :meth:`_inner_product` folds the digits with a key-switch key, read
   at the ciphertext's level through views of the key's one array;
-* :meth:`rotate_hoisted` reuses one decomposition across many rotation
-  steps, applying each Galois automorphism to the decomposed digits as a
-  pure NTT-domain permutation ("hoisting", Halevi–Shoup).
+* :meth:`rotate` is the one rotation path: it looks up the exact key
+  (a missing one raises :class:`~repro.errors.KeyError_`), applies the
+  Galois automorphism to the decomposed digits as a pure NTT-domain
+  permutation, and with ``keep=True`` leaves the decomposition on the
+  source (``Ciphertext.hoisted``) for the next rotation of it
+  ("hoisting", Halevi–Shoup).
 
-``rotate`` routes through the same machinery with a single step, so a
-hoisted batch is bit-for-bit identical to a loop of plain rotations.
-A compiled program hoists through ``rotate(..., keep=True)``: the
-source ciphertext holds its decomposition (``Ciphertext.hoisted``)
-until the last rotation that reads it.
+:meth:`rotate_hoisted` is a loop of :meth:`rotate` that keeps the
+decomposition until its last step, so a hoisted batch is bit-for-bit
+identical to a loop of plain rotations.  A compiled program hoists the
+same way: the source holds its decomposition until the last rotation
+that reads it.  Relinearisation and conjugation decompose through
+:meth:`_key_switch`.
 """
 
 from __future__ import annotations
@@ -119,11 +123,6 @@ class CkksEvaluator:
         # briefly publish) a duplicate basis.  Lookups stay lock-free — entries
         # are immutable once inserted and dict reads are atomic.
         self._cache_lock = threading.Lock()
-        #: key switches spent composing rotations out of power-of-two
-        #: steps because no exact key existed (paper §2.2); the compiler's
-        #: key-analysis pass exists to drive this to zero.
-        self.rotation_fallback_count = 0
-        self._fallback_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # encoding / encryption
@@ -441,10 +440,16 @@ class CkksEvaluator:
         down_b, down_a = mod_down_stack([acc_b, acc_a], num_special)
         return down_b, down_a
 
-    def _key_switch(self, d: RnsPoly, ksk: KeySwitchKey) -> tuple[RnsPoly, RnsPoly]:
-        """Return (b, a) with b + a*s ≈ d * target over d's basis."""
+    def _key_switch(self, d: RnsPoly, ksk: KeySwitchKey,
+                    galois: int | None = None) -> tuple[RnsPoly, RnsPoly]:
+        """Return (b, a) with b + a*s ≈ d * target over d's basis.
+
+        With ``galois`` the decomposed digits are first permuted by that
+        automorphism, so the pair switches ``sigma_galois(d)`` instead.
+        """
         decomp = self._decompose(d)
-        acc_b, acc_a = self._inner_product(decomp.digits, ksk, decomp.level)
+        digits = decomp.digits if galois is None else decomp.permuted(galois)
+        acc_b, acc_a = self._inner_product(digits, ksk, decomp.level)
         return self._mod_down_pair(acc_b, acc_a)
 
     def relinearize(self, a: Ciphertext) -> Ciphertext:
@@ -461,14 +466,33 @@ class CkksEvaluator:
     def multiply_relin(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         return self.relinearize(self.multiply(a, b))
 
-    def _apply_galois_hoisted(
-        self,
-        a: Ciphertext,
-        galois: int,
-        ksk: KeySwitchKey,
-        decomp: HoistedDecomposition,
-    ) -> Ciphertext:
-        """Finish one Galois application from a shared decomposition.
+    def _galois_key(self, steps: int) -> tuple[int, KeySwitchKey]:
+        """Galois element and exact key of a nonzero rotation step."""
+        galois = rotation_galois_element(steps, self.params.poly_degree)
+        ksk = self.keys.rotations.get(galois)
+        if ksk is None:
+            raise KeyError_(
+                f"no rotation key for step {steps}; the key set must "
+                "hold every step the program rotates by (rotation-key "
+                "analysis lists them)"
+            )
+        return galois, ksk
+
+    def rotate(self, a: Ciphertext, steps: int,
+               keep: bool = False) -> Ciphertext:
+        """Cyclically rotate the slot vector left by ``steps``.
+
+        The rotation needs a key for the exact step and raises
+        :class:`~repro.errors.KeyError_` naming the step without one; the
+        compiler's key-analysis pass generates exactly the steps a
+        program uses (paper §4.4).  This is the one place a rotation
+        looks up its key and decomposes its source.
+
+        ``keep`` says more rotations of ``a`` follow.  The rotation
+        reuses the decomposition ``a.hoisted`` holds, or computes it, and
+        leaves it on ``a`` only if ``keep`` is set; a call with
+        ``keep=False`` always leaves ``a`` holding nothing.  Results are
+        bit-identical to rotating without ``keep``.
 
         The automorphism acts on the decomposed digits as an NTT-domain
         permutation; digits stay small (coefficients bounded by their
@@ -477,107 +501,52 @@ class CkksEvaluator:
         commutes with the automorphism mod Q the result decrypts to
         ``sigma_g(m)`` exactly as the decompose-after-rotate order does.
         """
-        c0 = a.parts[0].automorphism(galois)
+        held = a.hoisted
+        if not keep:
+            a.hoisted = None
+        if steps % (self.params.poly_degree // 2) == 0:
+            return a.copy()
+        galois, ksk = self._galois_key(steps)
+        if a.size != 2:
+            raise ParameterError("relinearise before rotating")
+        decomp = held if held is not None else self._decompose(a.parts[1])
+        if keep:
+            a.hoisted = decomp
         acc_b, acc_a = self._inner_product(
             decomp.permuted(galois), ksk, decomp.level
         )
         ks_b, ks_a = self._mod_down_pair(acc_b, acc_a)
-        return Ciphertext([c0 + ks_b, ks_a], a.scale, a.slots_in_use)
-
-    def _apply_galois(self, a: Ciphertext, galois: int, ksk: KeySwitchKey) -> Ciphertext:
-        if a.size != 2:
-            raise ParameterError("relinearise before rotating")
-        decomp = self._decompose(a.parts[1])
-        return self._apply_galois_hoisted(a, galois, ksk, decomp)
-
-    def rotate(self, a: Ciphertext, steps: int,
-               keep: bool = False) -> Ciphertext:
-        """Cyclically rotate the slot vector left by ``steps``.
-
-        If no key exists for the exact step, the rotation is composed from
-        power-of-two rotations, the standard library fallback (paper §2.2).
-        Composition costs one key switch per set bit — this is precisely
-        the inefficiency ANT-ACE's key-analysis pass removes by generating
-        keys for the exact steps a program needs.  Every key switch spent
-        on composition increments :attr:`rotation_fallback_count` so tests
-        and benchmarks can assert the pass did its job.
-
-        ``keep`` says more rotations of ``a`` follow.  An exact-key
-        rotation reuses the decomposition ``a.hoisted`` holds, or
-        computes it, and leaves it on ``a`` only if ``keep`` is set; a
-        call with ``keep=False`` always leaves ``a`` holding nothing.
-        The composed fallback neither reads nor stores it.  Results are
-        bit-identical to rotating without ``keep``.
-        """
-        n = self.params.poly_degree
-        steps = steps % (n // 2)
-        held = a.hoisted
-        if not keep:
-            a.hoisted = None
-        if steps == 0:
-            return a.copy()
-        galois = rotation_galois_element(steps, n)
-        ksk = self.keys.rotations.get(galois)
-        if ksk is not None:
-            if a.size != 2:
-                raise ParameterError("relinearise before rotating")
-            decomp = held if held is not None else self._decompose(a.parts[1])
-            if keep:
-                a.hoisted = decomp
-            return self._apply_galois_hoisted(a, galois, ksk, decomp)
-        out = a
-        bit = 1
-        remaining = steps
-        while remaining:
-            if remaining & 1:
-                g = rotation_galois_element(bit, n)
-                ksk = self.keys.rotation_key(g)
-                out = self._apply_galois(out, g, ksk)
-                with self._fallback_lock:
-                    self.rotation_fallback_count += 1
-            remaining >>= 1
-            bit <<= 1
-        return out
+        return Ciphertext([a.parts[0].automorphism(galois) + ks_b, ks_a],
+                          a.scale, a.slots_in_use)
 
     def rotate_hoisted(
         self, a: Ciphertext, steps_list: list[int]
     ) -> dict[int, Ciphertext]:
         """Rotate one ciphertext by many steps, sharing the decomposition.
 
-        The digit decomposition + mod-up (the dominant cost of a rotation)
-        runs once; each step then pays only a digit permutation, the
-        key inner product, and the mod-down.  Returns ``{step: rotated}``
-        keyed by the steps as given.  Steps with no exact rotation key
-        fall back to the composed :meth:`rotate` (and count fallbacks);
-        results are bit-identical to rotating in a loop either way.
+        A loop of :meth:`rotate` that keeps the decomposition on ``a``
+        until the last distinct step, so the digit decomposition + mod-up
+        (the dominant cost of a rotation) runs once; each step then pays
+        only a digit permutation, the key inner product, and the
+        mod-down.  Returns ``{step: rotated}`` keyed by the steps as
+        given, and leaves ``a`` holding nothing.  Every step's key is
+        checked before anything is decomposed.
         """
-        if a.size != 2:
-            raise ParameterError("relinearise before rotating")
-        n = self.params.poly_degree
-        out: dict[int, Ciphertext] = {}
-        hoistable: list[tuple[int, int]] = []
-        for step in steps_list:
-            if step in out:
-                continue
-            norm = step % (n // 2)
-            if norm == 0:
-                out[step] = a.copy()
-                continue
-            galois = rotation_galois_element(norm, n)
-            if galois in self.keys.rotations:
-                hoistable.append((step, galois))
-            else:
-                out[step] = self.rotate(a, step)
-        if hoistable:
-            decomp = self._decompose(a.parts[1])
-            for step, galois in hoistable:
-                out[step] = self._apply_galois_hoisted(
-                    a, galois, self.keys.rotations[galois], decomp
-                )
-        return out
+        steps = list(dict.fromkeys(steps_list))
+        for step in steps:
+            if step % (self.params.poly_degree // 2):
+                self._galois_key(step)
+        last = len(steps) - 1
+        return {step: self.rotate(a, step, keep=i < last)
+                for i, step in enumerate(steps)}
 
     def conjugate(self, a: Ciphertext) -> Ciphertext:
         if self.keys.conjugation is None:
             raise ParameterError("no conjugation key generated")
+        if a.size != 2:
+            raise ParameterError("relinearise before rotating")
         galois = conjugation_galois_element(self.params.poly_degree)
-        return self._apply_galois(a, galois, self.keys.conjugation)
+        ks_b, ks_a = self._key_switch(a.parts[1], self.keys.conjugation,
+                                      galois)
+        return Ciphertext([a.parts[0].automorphism(galois) + ks_b, ks_a],
+                          a.scale, a.slots_in_use)

@@ -16,7 +16,8 @@ Two hot-path optimisations (see docs/INTERNALS.md "Evaluator hot paths"):
   :meth:`CkksEvaluator.rotate_hoisted`, sharing one key-switch
   decomposition (and :func:`apply_hoisted_batch` shares those baby steps
   across *several* transforms of the same ciphertext — bootstrapping's
-  CoeffToSlot halves);
+  CoeffToSlot halves); every step needs an exact rotation key, and a
+  missing one raises :class:`~repro.errors.KeyError_` naming the step;
 * encoded diagonal plaintexts are memoised per ``(evaluator, level,
   diagonal, pre-rotation)``, so the steady state of repeated inference
   (``repro.serve``) stops re-encoding constants.
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 import weakref
 
 import numpy as np
@@ -42,57 +42,11 @@ from repro.ckks.cipher import Ciphertext, Plaintext
 from repro.ckks.evaluator import CkksEvaluator
 from repro.errors import ParameterError
 from repro.polymath import modmath
-from repro.polymath.poly import rotation_galois_element
 from repro.polymath.rns import RnsPoly
 
 #: Modular products are < 2^MAX_MODULUS_BITS, so this many of them sum in
 #: raw uint64 without wrapping; one np.mod then folds the batch.
 _SAFE_ACC_TERMS = (1 << 64) // (1 << modmath.MAX_MODULUS_BITS) - 1
-
-#: evaluators already warned about composing missing rotation keys; one
-#: warning per evaluator is signal, one per rotation is noise
-_warned_evaluators: "weakref.WeakSet[CkksEvaluator]" = weakref.WeakSet()
-_warned_lock = threading.Lock()
-
-
-def _warn_missing_rotation_keys(ev: CkksEvaluator, steps, where: str) -> None:
-    """Warn (once per evaluator) when ``steps`` lack exact rotation keys.
-
-    A tuned BSGS split changes the step set a transform needs; keys are
-    normally re-derived after tuning (the driver re-runs rotation-key
-    analysis), but an evaluator built from a stale key blob silently
-    falls back to composing each missing step from power-of-two keys —
-    one extra key switch per set bit.  Surfacing that here turns a
-    mystery slowdown into an actionable warning.
-    """
-    with _warned_lock:
-        if ev in _warned_evaluators:
-            return
-    half = ev.params.poly_degree // 2
-    missing = sorted({
-        s % half for s in steps
-        if s % half and rotation_galois_element(s % half,
-                                                ev.params.poly_degree)
-        not in ev.keys.rotations
-    })
-    if not missing:
-        return
-    with _warned_lock:
-        if ev in _warned_evaluators:
-            return
-        _warned_evaluators.add(ev)
-    shown = ", ".join(map(str, missing[:8]))
-    if len(missing) > 8:
-        shown += ", ..."
-    warnings.warn(
-        f"{where} needs rotation keys for {len(missing)} step(s) "
-        f"[{shown}] that the evaluator does not hold; each will be "
-        f"composed from power-of-two keys (slower). Re-run rotation-key "
-        f"analysis after changing BSGS splits.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
 
 def _accumulate_products(ct_stack: np.ndarray, pt_stack: np.ndarray,
                          q_col: np.ndarray) -> np.ndarray:
@@ -171,18 +125,16 @@ class LinearTransform:
         """Compute M · slots(ct); consumes exactly one level.
 
         ``hoisted=False`` forces the per-rotation baseline (every baby
-        step pays its own key-switch decomposition) — kept for
-        benchmarking and bit-exactness tests; both paths produce identical
-        ciphertexts.
+        step is a ``keep=False`` rotation paying its own key-switch
+        decomposition) — kept for benchmarking and bit-exactness tests;
+        both paths produce identical ciphertexts.  Every rotation step
+        (:meth:`required_rotations`) needs an exact key.
         """
         if self.n != ev.params.num_slots:
             raise ParameterError(
                 f"matrix is {self.n}x{self.n} but the ring has "
                 f"{ev.params.num_slots} slots"
             )
-        _warn_missing_rotation_keys(
-            ev, self.required_rotations(),
-            f"{self.n}x{self.n} transform (giant={self.giant})")
         if self.use_bsgs:
             out = self._apply_bsgs(ev, ct, self._baby_rotations(ev, ct, hoisted))
         else:
@@ -299,10 +251,6 @@ def apply_hoisted_batch(
             )
         if not lt.use_bsgs:
             raise ParameterError("shared hoisting requires BSGS transforms")
-    _warn_missing_rotation_keys(
-        ev, {s for lt in transforms for s in lt.required_rotations()},
-        f"hoisted batch of {len(transforms)} transforms "
-        f"(giants={[lt.giant for lt in transforms]})")
     steps = sorted({j for lt in transforms for j in range(1, lt.giant)})
     shared = ev.rotate_hoisted(ct, steps)
     shared[0] = ct

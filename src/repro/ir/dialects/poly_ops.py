@@ -157,7 +157,7 @@ def _p_intt(types, attrs):
 
 #: per-limb hardware-oriented op each fused op expands into, with its
 #: per-limb multiplicity (Table 7's hw_* granularity)
-_HW_EXPANSION = {
+HW_EXPANSION = {
     "poly.add": ("hw_modadd", 1),
     "poly.sub": ("hw_modadd", 1),
     "poly.neg": ("hw_modadd", 1),
@@ -177,7 +177,7 @@ def hw_op_counts(fn) -> Counter:
     """Expand a POLY-IR function into per-limb hw_* operation counts."""
     counts: Counter = Counter()
     for op in fn.body:
-        entry = _HW_EXPANSION.get(op.opcode)
+        entry = HW_EXPANSION.get(op.opcode)
         if entry is None:
             continue
         hw, mult = entry

@@ -147,7 +147,7 @@ class CostModel:
 
         The runtime shares a single digit decomposition across every
         rotation of the same source (``CkksEvaluator.rotate`` with
-        ``keep``, and ``rotate_hoisted``): the ``digits * ext``
+        ``keep``, which ``rotate_hoisted`` loops over): the ``digits * ext``
         decomposition NTTs are paid once per batch, and each rotation
         then costs only its mod-down NTTs and multiply-accumulates.
         Costing the batch per-rotation over-prices BSGS regions by

@@ -26,7 +26,7 @@ from repro.backend.interface import SchemeConfig
 from repro.errors import LoweringError
 from repro.ir import IRBuilder, Module, PolyType
 from repro.ir.core import Function, Value
-from repro.ir.dialects.poly_ops import hw_op_counts
+from repro.ir.dialects.poly_ops import HW_EXPANSION, hw_op_counts
 from repro.ir.types import CipherType, Cipher3Type, PlainType, VectorType
 
 
@@ -48,22 +48,10 @@ class _StatsEmitter:
     def emit(self, opcode: str, limbs: int, count: int = 1):
         self.poly_ops[opcode] += count
         self.lines += count
-        hw = {
-            "poly.add": "hw_modadd",
-            "poly.sub": "hw_modadd",
-            "poly.neg": "hw_modadd",
-            "poly.mul": "hw_modmul",
-            "poly.muladd": "hw_modmuladd",
-            "poly.rescale": "hw_modmul",
-            "poly.automorphism": "hw_rotate",
-            "poly.ntt": "hw_ntt",
-            "poly.intt": "hw_intt",
-            "poly.mod_up": "hw_modmul",
-            "poly.decomp_modup": "hw_modmul",
-            "poly.mod_down": "hw_modmul",
-        }.get(opcode)
-        if hw:
-            self.hw_ops[hw] += limbs * count
+        entry = HW_EXPANSION.get(opcode)
+        if entry is not None:
+            hw, mult = entry
+            self.hw_ops[hw] += limbs * count * mult
 
 
 def _expand_op(op, scheme: SchemeConfig, emit) -> None:

@@ -179,10 +179,6 @@ def _eval(module: Module, op, args, be: HEBackend, keep: bool):
             out = be.rescale(out)
         return out
     if code == "ckks.bootstrap":
-        giant = op.attrs.get("bsgs_giant")
-        if giant is not None:
-            return be.bootstrap(args[0], op.attrs.get("target_level"),
-                                bsgs_giant=giant)
         return be.bootstrap(args[0], op.attrs.get("target_level"))
     if code == "ckks.encode":
         return be.encode(args[0], scale=op.attrs["scale"],

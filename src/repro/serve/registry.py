@@ -267,31 +267,35 @@ class ModelRegistry:
             breaker_failures=breaker_failures,
             breaker_reset_s=breaker_reset_s,
         )
-        if entry.supports_batching:
-            if eval_keys is not None:
-                self._check_batching_keys(entry)
-            else:
-                backend.ctx.add_rotation_keys(
-                    _batching_rotation_steps(entry))
+        if eval_keys is not None:
+            self._check_shipped_keys(entry)
+        elif entry.supports_batching:
+            backend.ctx.add_rotation_keys(_batching_rotation_steps(entry))
         with self._lock:
             self._entries[model_id] = entry
         self._export_key_gauges(model_id, entry.key_bytes)
         return entry
 
     @staticmethod
-    def _check_batching_keys(entry: ModelEntry) -> None:
-        """Shipped key blobs must cover the slot-batching rotations."""
+    def _check_shipped_keys(entry: ModelEntry) -> None:
+        """Shipped key blobs must cover every rotation the entry runs:
+        the program's steps and, when it batches, the slot-batching
+        steps."""
         rotations = entry.backend.ctx.keys.rotations
         degree = entry.params.poly_degree
+        steps = list(entry.program.rotation_steps)
+        if entry.supports_batching:
+            steps += _batching_rotation_steps(entry)
         missing = [
-            step for step in _batching_rotation_steps(entry)
-            if rotation_galois_element(step, degree) not in rotations
+            step for step in dict.fromkeys(steps)
+            if step % (degree // 2)
+            and rotation_galois_element(step, degree) not in rotations
         ]
         if missing:
             raise ServeError(
                 f"evaluation-key blob for model {entry.model_id!r} lacks "
-                f"slot-batching rotation keys for steps {missing}; the key "
-                "owner must generate them before serializing"
+                f"rotation keys for steps {missing}; the key owner must "
+                "generate them before serializing"
             )
 
     @staticmethod

@@ -21,7 +21,9 @@ def exact():
     params = CkksParameters(
         poly_degree=N, scale_bits=30, first_prime_bits=40, num_levels=3
     )
-    return ExactBackend(params, seed=11)
+    be = ExactBackend(params, seed=11)
+    be.ctx.add_rotation_keys([3])  # _program rotates by 3: no power of two
+    return be
 
 
 @pytest.fixture(scope="module")

@@ -112,22 +112,6 @@ def test_bootstrap_target_level_knob(boot_ctx):
     assert np.allclose(ctx.decrypt(refreshed, N // 2), msg, atol=0.02)
 
 
-def test_bootstrap_tuned_bsgs_giant_matches_default(boot_ctx):
-    """A baby-heavy BSGS split changes the DFT schedule, not the result;
-    make_bootstrapper mints the keys the new split needs."""
-    ctx, bs_default = boot_ctx
-    bs_tuned = ctx.make_bootstrapper(bsgs_giant=16)
-    for lt in (bs_tuned._cts_low, bs_tuned._stc_left):
-        assert lt.giant == 16
-    rng = np.random.default_rng(8)
-    msg = rng.uniform(-0.25, 0.25, size=N // 2)
-    ct = ctx.encrypt(msg, level=0)
-    refreshed = bs_tuned.bootstrap(ct)
-    assert refreshed.level == bs_tuned.target_level
-    assert np.allclose(ctx.decrypt(refreshed, N // 2), msg, atol=0.02)
-    assert ctx.evaluator.rotation_fallback_count == 0
-
-
 def test_bootstrap_rejects_unreachable_target(boot_ctx):
     ctx, bs = boot_ctx
     with pytest.raises(ParameterError):

@@ -125,36 +125,6 @@ def test_keep_false_on_a_zero_step_releases(ctx):
     assert ct.hoisted is None
 
 
-def test_keep_sequence_with_a_composed_middle_step(decompositions):
-    pow2 = CkksContext(PARAMS, seed=11)  # power-of-two key set only
-    ev = pow2.evaluator
-    ct = pow2.encrypt(np.random.default_rng(1).uniform(-1, 1, SLOTS))
-    steps = [8, 11, 2]  # 11 = 8+2+1: composed from three key switches
-    want = [ev.rotate(ct, s) for s in steps]
-    decompositions.clear()
-    got = [ev.rotate(ct, 8, keep=True)]
-    held = ct.hoisted
-    got.append(ev.rotate(ct, 11, keep=True))
-    assert ct.hoisted is held  # the fallback neither reads nor replaces it
-    got.append(ev.rotate(ct, 2, keep=False))
-    assert ct.hoisted is None
-    # one shared decomposition for 8 and 2, one per composed key switch
-    assert decompositions["calls"] == 1 + 3
-    for g, w in zip(got, want):
-        assert _cipher_equal(g, w)
-    assert np.allclose(pow2.decrypt(got[1], SLOTS),
-                       np.roll(pow2.decrypt(ct, SLOTS), -11), atol=1e-3)
-
-
-def test_keep_false_after_a_composed_step_releases(decompositions):
-    pow2 = CkksContext(PARAMS, seed=11)
-    ev = pow2.evaluator
-    ct = pow2.encrypt(np.linspace(-1, 1, SLOTS))
-    ev.rotate(ct, 4, keep=True)
-    ev.rotate(ct, 3, keep=False)  # composed: 2 + 1
-    assert ct.hoisted is None
-
-
 # ----------------------------------------------------------------------
 # schedule + interpreter on hand-built CKKS IR
 # ----------------------------------------------------------------------
@@ -288,9 +258,20 @@ def test_compiled_gemm_decomposes_once_per_rotation_group(gemm,
     x = np.random.default_rng(4).uniform(-1, 1, (1, 12))
     decompositions.clear()
     program.run(backend, x)
-    assert backend.rotation_fallbacks == 0
     relins = backend.trace.by_op()["relin"]
     assert decompositions["calls"] == len(groups) + relins
+
+
+def test_compiled_program_without_a_rotation_key_raises(gemm):
+    from repro.errors import KeyError_
+
+    program, params = gemm
+    short = program.rotation_steps[:-1]
+    backend = program.make_exact_backend(params, rotation_steps=short,
+                                         seed=3)
+    x = np.random.default_rng(4).uniform(-1, 1, (1, 12))
+    with pytest.raises(KeyError_, match="no rotation key for step"):
+        program.run(backend, x)
 
 
 def test_compiled_gemm_outputs_match_unhoisted_run(gemm):

@@ -16,6 +16,12 @@ the one reader of it every backend shares.
 A compiled program likewise runs one way — in program order, on the
 calling thread — so the names of the deleted in-process op thread pool
 (its job and memory budgets, width cap and watchdog) must not return.
+
+A rotation has one path too: ``CkksEvaluator.rotate`` alone decomposes a
+rotation source (``_key_switch`` decomposes for relinearisation and
+conjugation), a missing key raises, and the names of the deleted
+composed-rotation fallback, its warning and the unused bootstrap BSGS
+split must not return.
 """
 
 import ast
@@ -48,6 +54,13 @@ GONE_EXECUTION = [
     "resolve_mem_budget", "REPRO_JOBS", "REPRO_MEM_BUDGET", "watchdog_s",
     "width_capped", "ParallelExecutor", "ExecutorStalledError",
     "EXECUTOR_STALL", "EXECUTOR_THREAD_DEATH",
+]
+
+#: deleted composed-rotation fallback and bootstrap BSGS-split knob
+GONE_ROTATION = [
+    "rotation_fallback", "_fallback_lock", "_warn_missing_rotation_keys",
+    "_warned_evaluators", "bootstrap_bsgs_giant", "bsgs_giant=",
+    '"bsgs_giant"', "self.bsgs_giant",
 ]
 
 #: the serve request handle is a ``concurrent.futures.Future`` (callers
@@ -105,7 +118,7 @@ def test_deleted_execution_paths_stay_deleted():
         f"{rel} mentions {name}"
         for path in sorted(SRC.rglob("*.py"))
         for rel in [path.relative_to(SRC).as_posix()]
-        for name in GONE_EXECUTION
+        for name in GONE_EXECUTION + GONE_ROTATION
         if name in path.read_text() and rel not in ALLOWED.get(name, ())
     ]
     assert not offences, "\n".join(offences)
@@ -141,3 +154,17 @@ def test_one_modulus_chain():
                 builders.add(f"{rel}:{qualname}")
     assert readers == {"backend/interface.py:HEBackend.prime_at"}
     assert builders == {"backend/interface.py:SchemeConfig.__post_init__"}
+
+
+def test_one_rotation_path():
+    callers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for qualname, fn in _functions(tree):
+            if any(isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "_decompose"
+                   for node in ast.walk(fn)):
+                callers.add(
+                    f"{path.relative_to(SRC).as_posix()}:{qualname}")
+    assert callers == {"ckks/evaluator.py:CkksEvaluator.rotate",
+                       "ckks/evaluator.py:CkksEvaluator._key_switch"}

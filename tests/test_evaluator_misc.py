@@ -41,16 +41,6 @@ def test_downscale_reaches_target(ctx):
     assert np.allclose(ctx.decrypt(down), 0.5, atol=1e-2)
 
 
-def test_composed_rotation_matches_direct(ctx):
-    """pow2 composition computes the same rotation as a direct key."""
-    rng = np.random.default_rng(1)
-    x = rng.uniform(-1, 1, size=SLOTS)
-    ev = ctx.evaluator
-    ct = ctx.encrypt(x)
-    direct = ctx.decrypt(ev.rotate(ct, 5))   # 5 = 4+1, composed from pow2
-    assert np.allclose(direct, np.roll(x, -5), atol=1e-2)
-
-
 def test_rotation_composition_additivity(ctx):
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, size=SLOTS)

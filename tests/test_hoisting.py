@@ -1,6 +1,6 @@
 """Evaluator hot-path tests: hoisted rotations, single-copy key-switch
 keys, the plaintext cache, batched NTT, and the bookkeeping (slots_in_use,
-fallback counter) that rides along with them."""
+missing keys) that rides along with them."""
 
 import tracemalloc
 
@@ -12,7 +12,7 @@ from repro.ckks import CkksContext, CkksParameters
 from repro.ckks.cipher import Ciphertext
 from repro.ckks.linear import LinearTransform, apply_hoisted_batch
 from repro.ckks.serialize import deserialize_eval_keys, serialize_eval_keys
-from repro.errors import ParameterError
+from repro.errors import KeyError_, ParameterError
 from repro.polymath import modmath
 from repro.polymath.poly import ntt_automorphism_index_map, rotation_galois_element
 from repro.polymath.rns import RnsBasis, RnsPoly
@@ -56,35 +56,30 @@ def test_hoisted_rotations_bit_identical_to_loop(ctx):
         assert np.allclose(got, np.roll(msg, -step), atol=1e-3)
 
 
-def test_hoisted_rotation_falls_back_without_exact_key():
+@pytest.fixture(scope="module")
+def pow2():
     params = CkksParameters(poly_degree=N, scale_bits=30,
                             first_prime_bits=40, num_levels=3)
-    pow2 = CkksContext(params, seed=11)  # power-of-two key set only
-    rng = np.random.default_rng(1)
-    msg = rng.uniform(-1, 1, SLOTS)
-    ct = pow2.encrypt(msg)
-    ev = pow2.evaluator
-    assert ev.rotation_fallback_count == 0
-    hoisted = ev.rotate_hoisted(ct, [8, 11])  # 11 = 8+2+1: three key switches
-    assert ev.rotation_fallback_count == 3
-    assert np.allclose(pow2.decrypt(hoisted[11], SLOTS),
-                       np.roll(msg, -11), atol=1e-3)
-    assert np.allclose(pow2.decrypt(hoisted[8], SLOTS),
-                       np.roll(msg, -8), atol=1e-3)
-    # exact-key rotations never touch the counter
-    ev.rotate(ct, 8)
-    assert ev.rotation_fallback_count == 3
+    return CkksContext(params, seed=11)  # power-of-two key set only
 
 
-def test_backend_exposes_fallback_counter():
-    params = CkksParameters(poly_degree=N, scale_bits=30,
-                            first_prime_bits=40, num_levels=3)
-    be = ExactBackend(params, rotation_steps=[1, 2, 4, 8, 16], seed=3)
-    ct = be.encrypt(np.linspace(-1, 1, SLOTS))
-    be.rotate(ct, 4)
-    assert be.rotation_fallbacks == 0
-    be.rotate(ct, 6)  # 4+2 composed
-    assert be.rotation_fallbacks == 2
+def test_rotation_without_exact_key_raises(pow2):
+    ct = pow2.encrypt(np.linspace(-1, 1, SLOTS))
+    with pytest.raises(KeyError_, match="step 11"):
+        pow2.evaluator.rotate(ct, 11)  # 11 = 8+2+1: never composed
+    with pytest.raises(KeyError_, match="step 11"):
+        pow2.evaluator.rotate(ct, 11, keep=True)
+    assert ct.hoisted is None
+
+
+def test_hoisted_rotation_checks_every_key_before_decomposing(pow2):
+    ct = pow2.encrypt(np.linspace(-1, 1, SLOTS))
+    with pytest.raises(KeyError_, match="step 11"):
+        pow2.evaluator.rotate_hoisted(ct, [8, 11, 2])
+    assert ct.hoisted is None
+    # a complete batch leaves nothing held on its source either
+    out = pow2.evaluator.rotate_hoisted(ct, [8, 2, 8])
+    assert set(out) == {8, 2} and ct.hoisted is None
 
 
 # ----------------------------------------------------------------------

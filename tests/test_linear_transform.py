@@ -115,9 +115,11 @@ def test_non_divisor_giant_rejected():
 
 
 def test_missing_rotation_keys_warn_once():
-    """A transform whose split needs keys the evaluator lacks warns once,
-    then still computes the right answer via composed rotations."""
-    import warnings
+    """A transform whose split needs keys the evaluator lacks raises
+    KeyError_ naming the first missing step, hoisted or not, and holds
+    no decomposition on its input afterwards."""
+    from repro.ckks.linear import apply_hoisted_batch
+    from repro.errors import KeyError_
 
     params = CkksParameters(poly_degree=N, scale_bits=30,
                             first_prime_bits=40, num_levels=3)
@@ -125,12 +127,11 @@ def test_missing_rotation_keys_warn_once():
     context = CkksContext(params, rotation_steps=None, seed=11)
     rng = np.random.default_rng(6)
     matrix = rng.normal(size=(SLOTS, SLOTS)) / SLOTS
-    vec = rng.uniform(-1, 1, size=SLOTS)
+    ct = context.encrypt(rng.uniform(-1, 1, size=SLOTS))
     lt = LinearTransform(matrix, giant=8)
-    with pytest.warns(RuntimeWarning, match="rotation keys"):
-        out = lt.apply(context.evaluator, context.encrypt(vec))
-    assert np.allclose(context.decrypt(out, SLOTS), matrix @ vec, atol=1e-2)
-    assert context.evaluator.rotation_fallback_count > 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the second apply must stay silent
-        lt.apply(context.evaluator, context.encrypt(vec))
+    for apply in (lambda: lt.apply(context.evaluator, ct),
+                  lambda: lt.apply(context.evaluator, ct, hoisted=False),
+                  lambda: apply_hoisted_batch(context.evaluator, ct, [lt])):
+        with pytest.raises(KeyError_, match="step 3"):
+            apply()
+        assert ct.hoisted is None

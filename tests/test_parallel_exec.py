@@ -231,16 +231,16 @@ def test_trace_region_tags_do_not_leak_across_threads():
 # -- evaluator cache stress (PR-2 memo caches) ------------------------------
 
 def test_evaluator_caches_safe_under_8_threads():
-    """Hammer the ksk-stack / extended-basis caches and the composed
-    rotation fallback from 8 threads; results must all agree and the
-    fallback counter must not lose increments."""
+    """Hammer the ksk-stack / extended-basis caches from 8 threads with
+    exact-key rotations at two levels; results must all agree and the
+    trace must not lose a rotation."""
     params = CkksParameters(poly_degree=128, scale_bits=30,
                             first_prime_bits=40, num_levels=3)
-    backend = ExactBackend(params, rotation_steps=[1, 2], seed=3)
+    backend = ExactBackend(params, rotation_steps=[1, 2, 3], seed=3)
     ct = backend.encrypt(np.linspace(-1, 1, 64))
-    baseline = backend.rotate(ct, 3)  # composed: no exact step-3 key
-    per_call = backend.rotation_fallbacks
-    assert per_call > 0
+    low = backend.mod_switch(ct, 1)
+    baseline = [backend.rotate(ct, 3), backend.rotate(low, 1)]
+    backend.trace.clear()
 
     results = [None] * 8
     errors = []
@@ -249,7 +249,7 @@ def test_evaluator_caches_safe_under_8_threads():
     def work(i):
         try:
             barrier.wait(timeout=10)
-            results[i] = backend.rotate(ct, 3)
+            results[i] = [backend.rotate(ct, 3), backend.rotate(low, 1)]
         except Exception as exc:  # noqa: BLE001 — surfaced below
             errors.append(exc)
 
@@ -259,12 +259,12 @@ def test_evaluator_caches_safe_under_8_threads():
     for t in threads:
         t.join()
     assert not errors
-    for out in results:
-        for k in range(2):
-            assert np.array_equal(out.parts[k].residues,
-                                  baseline.parts[k].residues)
-    # locked counter: exactly 9 identical calls' worth of fallbacks
-    assert backend.rotation_fallbacks == 9 * per_call
+    for outs in results:
+        for out, want in zip(outs, baseline):
+            for k in range(2):
+                assert np.array_equal(out.parts[k].residues,
+                                      want.parts[k].residues)
+    assert backend.trace.by_op()["rotate"] == 16
 
 
 def test_linear_transform_memo_safe_under_threads():

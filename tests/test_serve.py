@@ -83,6 +83,34 @@ def test_registry_batch_fallback():
     assert entry.supports_batching
 
 
+def test_registry_checks_shipped_keys_cover_program_steps(registry):
+    """A shipped key blob without one of the program's own rotation
+    steps is refused at registration, naming the step, not at the first
+    request that rotates by it."""
+    import dataclasses
+
+    from repro.ckks.serialize import serialize_eval_keys
+    from repro.errors import ServeError
+    from repro.polymath.poly import rotation_galois_element
+    from repro.serve.registry import _batching_rotation_steps
+
+    reg, _ = registry
+    owner = reg.get("credit")
+    degree = owner.params.poly_degree
+    batching = {rotation_galois_element(s, degree)
+                for s in _batching_rotation_steps(owner)}
+    step = next(s for s in owner.program.rotation_steps
+                if rotation_galois_element(s, degree) not in batching)
+    keys = owner.backend.ctx.keys
+    rotations = dict(keys.rotations)
+    del rotations[rotation_galois_element(step, degree)]
+    blob = serialize_eval_keys(dataclasses.replace(keys, rotations=rotations))
+    model, _ = gemv_model()
+    with pytest.raises(ServeError, match=rf"steps \[{step}\]"):
+        ModelRegistry().register("credit", model, max_batch=4,
+                                 eval_keys=blob)
+
+
 def test_registry_rejects_bad_model_type():
     from repro.errors import ServeError
 
